@@ -1,19 +1,13 @@
-//! Collection-pipeline benchmarks: one monitoring round against the fleet,
-//! and the adaptive-RTO transport pushing a round's worth of log deltas
-//! across a link dropping 5 % of frames (the regime the retry machinery is
-//! tuned for).
+//! Collection-pipeline benchmark: one monitoring round against the
+//! 19-host fleet — handshake, rsync signature exchange and a small delta
+//! per host.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use frostlab_netsim::collector::{Collector, MonitoredHost};
-use frostlab_netsim::transport::{drive_until_idle, Endpoint};
-use frostlab_netsim::{MacAddr, Network};
 use frostlab_simkern::rng::Rng;
 use frostlab_simkern::time::{SimDuration, SimTime};
 
 const FLEET: u32 = 19;
-/// One 20-minute round's worth of fresh log bytes per host (md5sum lines
-/// plus sensor samples) — matches the experiment's appender.
-const ROUND_BYTES: usize = 160;
 
 fn fleet(rng: &mut Rng, collector: &Collector) -> Vec<MonitoredHost> {
     (1..=FLEET)
@@ -54,45 +48,5 @@ fn bench_collection_round(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_lossy_transport(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transport");
-    // A round's worth of deltas for the whole fleet, as one payload stream.
-    let payload: Vec<u8> = (0..ROUND_BYTES).map(|i| (i % 251) as u8).collect();
-    g.throughput(Throughput::Bytes((FLEET as usize * ROUND_BYTES) as u64));
-    g.bench_function("fleet_round_5pct_loss", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            seed += 1;
-            let mut net = Network::new(&Rng::new(seed));
-            let sw = net.add_switch();
-            let (ma, mb) = (MacAddr::from_id(1), MacAddr::from_id(2));
-            net.add_host(ma);
-            net.add_host(mb);
-            net.attach_host(ma, sw, 0).expect("free port");
-            net.attach_host(mb, sw, 1).expect("free port");
-            net.loss_prob = 0.05;
-
-            let mut a = Endpoint::new(ma, mb);
-            let mut b_ep = Endpoint::new(mb, ma);
-            for _ in 0..FLEET {
-                a.send(bytes::Bytes::from(payload.clone()));
-            }
-            let start = SimTime::from_secs(0);
-            let deadline = start + SimDuration::days(1);
-            drive_until_idle(
-                &mut net,
-                &mut a,
-                &mut b_ep,
-                start,
-                SimDuration::secs(1),
-                deadline,
-            );
-            assert!(!a.peer_dead(), "5% loss must never kill the session");
-            criterion::black_box(b_ep.take_delivered().len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_collection_round, bench_lossy_transport);
+criterion_group!(benches, bench_collection_round);
 criterion_main!(benches);

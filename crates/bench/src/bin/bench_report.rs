@@ -44,7 +44,7 @@ use frostlab_core::config::{ExperimentConfig, FaultMode};
 use frostlab_core::fleet::FleetSpec;
 use frostlab_core::phases::PhaseTiming;
 use frostlab_core::ScenarioBuilder;
-use frostlab_ensemble::run_summary_sweep;
+use frostlab_ensemble::sweep;
 use frostlab_obs::ObsConfig;
 
 /// Schema tag for the benchmark JSON.
@@ -284,7 +284,8 @@ fn main() {
 
     eprintln!("bench_report: serial ensemble ({jobs} × {days}-day campaigns) …");
     let t = Instant::now();
-    let serial = run_summary_sweep(0, jobs, 1, stochastic_week);
+    let stochastic_week_scenario = |seed| ScenarioBuilder::paper(stochastic_week(seed)).build();
+    let serial = sweep(0, jobs, 1, stochastic_week_scenario).summary;
     let ensemble_serial_ms = ms(t);
 
     let used = frostlab_ensemble::Ensemble::new(jobs)
@@ -292,7 +293,7 @@ fn main() {
         .effective_threads();
     eprintln!("bench_report: parallel ensemble ({used} threads) …");
     let t = Instant::now();
-    let parallel = run_summary_sweep(0, jobs, threads, stochastic_week);
+    let parallel = sweep(0, jobs, threads, stochastic_week_scenario).summary;
     let ensemble_parallel_ms = ms(t);
 
     assert_eq!(

@@ -30,8 +30,8 @@
 
 use frostlab_core::config::{ExperimentConfig, FaultMode};
 use frostlab_core::fleet::FleetSpec;
-use frostlab_core::MatrixSpec;
-use frostlab_ensemble::{run_matrix_sweep, run_summary_sweep, run_traced_sweep};
+use frostlab_core::{MatrixSpec, ScenarioBuilder};
+use frostlab_ensemble::{run_matrix_sweep, sweep, MetricsAggregate};
 use frostlab_trace::TraceConfig;
 
 fn usage() -> ! {
@@ -110,19 +110,24 @@ fn main() {
         }
     };
 
+    let report = sweep(start_seed, seeds, threads, |seed| {
+        let b = ScenarioBuilder::paper(make_config(seed));
+        if traced {
+            b.with_tracing(TraceConfig::metrics_only()).build()
+        } else {
+            b.build()
+        }
+    });
     if traced {
-        let (_, metrics) = run_traced_sweep(
-            start_seed,
-            seeds,
-            threads,
-            TraceConfig::metrics_only(),
-            make_config,
-        );
+        // An empty sweep traced nothing; report it as an empty fold.
+        let metrics = report
+            .metrics
+            .unwrap_or_else(|| MetricsAggregate::new().finish(start_seed));
         println!("{}", metrics.to_json().expect("metrics serialize"));
         return;
     }
 
-    let summary = run_summary_sweep(start_seed, seeds, threads, make_config);
+    let summary = report.summary;
 
     let json = if invariant {
         summary.invariant_json()

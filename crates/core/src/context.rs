@@ -419,9 +419,10 @@ impl CampaignCtx {
                     chaos.loss_prob = loss;
                 }
             }
-            // Jitter delays frames but the 20-minute cadence dwarfs any
-            // per-hop delay, so a jitter burst is invisible at this layer;
-            // the frame-level effect lives in `frostlab_netsim::net`.
+            // Jitter would delay packets, but collection is modelled per
+            // attempt, not per packet, and the 20-minute cadence dwarfs
+            // any per-hop delay, so a jitter burst has no effect. The
+            // event stays in the schedule so chaos RNG draws are stable.
             ChaosEvent::JitterBurst { .. } => {}
             ChaosEvent::SwitchDeath { switch } => {
                 if !self.switch_up[switch] {

@@ -224,7 +224,7 @@ pub fn fig4_humidity(results: &ExperimentResults) -> SeriesFigure {
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::experiment::Experiment;
+    use crate::scenario::ScenarioBuilder;
 
     #[test]
     fn fig1_mentions_all_four_interventions() {
@@ -250,7 +250,9 @@ mod tests {
 
     #[test]
     fn fig3_and_fig4_from_short_campaign() {
-        let results = Experiment::new(ExperimentConfig::short(4, 8)).run();
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(4, 8))
+            .build()
+            .run();
         let f3 = fig3_temperature(&results);
         assert!(
             f3.csv.lines().count() > 500,

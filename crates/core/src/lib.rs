@@ -35,10 +35,9 @@
 //!   stable content hashes: the job currency of `frostlab-farm`'s durable
 //!   work queue and result cache;
 //! * [`observe`] — tracing instrumentation for the pipeline: per-phase
-//!   span probes and the per-tick metrics sampler installed by
-//!   [`scenario::ScenarioBuilder::with_tracing`] (see `frostlab-trace`);
-//! * [`experiment`] — the stable two-call shim over the stock paper
-//!   pipeline;
+//!   span probes and the per-tick sampler ([`observe::ObservePhase`])
+//!   installed by [`scenario::ScenarioBuilder::with_tracing`] and
+//!   [`scenario::ScenarioBuilder::with_observability`];
 //! * [`prototype`] — the plastic-box weekend (T5);
 //! * [`results`] — everything measured, in one struct;
 //! * [`figures`] / [`tables`] — per-figure and per-table reproduction
@@ -61,7 +60,6 @@
 
 pub mod config;
 pub mod context;
-pub mod experiment;
 pub mod figures;
 pub mod fleet;
 pub mod fleet_state;
@@ -77,7 +75,6 @@ pub mod watchdog;
 
 pub use config::ExperimentConfig;
 pub use context::CampaignCtx;
-pub use experiment::Experiment;
 pub use phases::TickPhase;
 pub use results::ExperimentResults;
 pub use scenario::{Scenario, ScenarioBuilder};

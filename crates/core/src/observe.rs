@@ -1,23 +1,23 @@
 //! Observability instrumentation for the phase pipeline.
 //!
-//! Three pieces, installed by the scenario builder:
+//! Two pieces, installed by the scenario builder:
 //!
 //! * [`TracePhaseProbe`] decorates each phase and emits one sim-time span
 //!   per step on a `phase/<name>` track
 //!   ([`crate::scenario::ScenarioBuilder::with_tracing`]);
-//! * [`TraceSamplePhase`] runs after the substrate phases each tick and
-//!   samples the campaign state into the tracer's metrics registry
-//!   (gauges at tick boundaries, counters by delta) while draining the
-//!   append-only ledgers — collector history, healed gaps, fault events,
-//!   watchdog incidents — into trace events via cursors;
-//! * [`ObservePhase`] is the fleet health observatory's sampling phase
-//!   ([`crate::scenario::ScenarioBuilder::with_observability`]): it
-//!   subsumes the trace sampling and, in the *same* O(hosts) pass, feeds
-//!   the dimensional rollups, the SLO burn-rate engine and the incident
-//!   flight recorder in [`frostlab_obs::ObsState`]. SLO fires/resolves
-//!   are mirrored into the watchdog ledger as
-//!   [`IncidentKind::SloBreach`] incidents, so the alert timeline rides
-//!   the same deterministic bookkeeping as every other incident.
+//! * [`ObservePhase`] is the pipeline's one sampling phase, appended by
+//!   both [`crate::scenario::ScenarioBuilder::with_tracing`] and
+//!   [`crate::scenario::ScenarioBuilder::with_observability`]. In one
+//!   O(hosts) pass per tick it samples the campaign state into the
+//!   tracer's metrics registry (gauges at tick boundaries, counters by
+//!   delta), drains the append-only ledgers — collector history, healed
+//!   gaps, fault events, watchdog incidents — into trace events via
+//!   cursors, and, when the observatory is armed, feeds the dimensional
+//!   rollups, the SLO burn-rate engine and the incident flight recorder
+//!   in [`frostlab_obs::ObsState`]. SLO fires/resolves are mirrored into
+//!   the watchdog ledger as [`IncidentKind::SloBreach`] incidents, so the
+//!   alert timeline rides the same deterministic bookkeeping as every
+//!   other incident.
 //!
 //! Everything here reads state the campaign already maintains; nothing
 //! draws randomness or wall-clock, so arming tracing or observability
@@ -74,11 +74,28 @@ impl TickPhase for TracePhaseProbe {
     }
 }
 
-/// The per-tick trace-sampling state machine shared by
-/// [`TraceSamplePhase`] and [`ObservePhase`]: gauge snapshots, counter
-/// deltas, and the cursors that drain the campaign's append-only ledgers
-/// into trace events exactly once each.
-struct TraceCursors {
+/// The pipeline's sampling phase: one O(hosts) fleet scan per tick, after
+/// the substrate phases have stepped.
+///
+/// For the tracer, gauges snapshot the current tick (`tent.temp_c`,
+/// `tent.power_w`, `collector.gaps_open`, `fleet.hosts_up`, …); counters
+/// advance by delta against the campaign's own accumulators
+/// (`workload.runs_total`, `collector.attempts_total`,
+/// `faults.events_total`, …); and the append-only ledgers are drained
+/// through cursors into trace events — collection attempts and
+/// healed-gap spans (gated by `collection_events`), fault and incident
+/// instants (gated by `incident_events`). `netsim.retransmits` counts the
+/// collector's backoff-driven catch-up attempts: the collection pipeline
+/// models loss at attempt granularity, not per frame.
+///
+/// For the observatory, the same scan feeds the dimensional rollups, the
+/// SLO burn-rate engine and the incident flight recorder.
+///
+/// Installed once by [`crate::scenario::ScenarioBuilder::with_tracing`] or
+/// [`crate::scenario::ScenarioBuilder::with_observability`], whichever
+/// comes first. Inert (one branch) when neither the tracer nor the
+/// observatory is armed.
+pub struct ObservePhase {
     collection_cursor: usize,
     gap_cursor: usize,
     fault_cursor: usize,
@@ -87,11 +104,17 @@ struct TraceCursors {
     runs_seen: u64,
     hash_errors_seen: usize,
     registered: bool,
+    caches: Option<RollupCaches>,
+    slo_runs_seen: u64,
+    slo_bad_seen: usize,
+    resets_seen: u64,
+    flight_incident_cursor: usize,
 }
 
-impl TraceCursors {
-    fn new() -> TraceCursors {
-        TraceCursors {
+impl ObservePhase {
+    /// A fresh observer (all cursors at zero, caches unbuilt).
+    pub fn new() -> ObservePhase {
+        ObservePhase {
             collection_cursor: 0,
             gap_cursor: 0,
             fault_cursor: 0,
@@ -100,13 +123,18 @@ impl TraceCursors {
             runs_seen: 0,
             hash_errors_seen: 0,
             registered: false,
+            caches: None,
+            slo_runs_seen: 0,
+            slo_bad_seen: 0,
+            resets_seen: 0,
+            flight_incident_cursor: 0,
         }
     }
 
     /// Sample one tick into the tracer. `hosts_up` is the
-    /// installed-and-running count the caller already computed in its
+    /// installed-and-running count [`ObservePhase::step`] computed in its
     /// O(hosts) pass. No-op while the tracer is disabled.
-    fn sample(&mut self, ctx: &mut CampaignCtx, hosts_up: usize) {
+    fn sample_trace(&mut self, ctx: &mut CampaignCtx, hosts_up: usize) {
         if !ctx.tracer.is_enabled() {
             return;
         }
@@ -274,61 +302,6 @@ impl TraceCursors {
     }
 }
 
-/// Samples campaign state into the tracer once per tick, after the
-/// substrate phases have stepped.
-///
-/// Gauges snapshot the current tick (`tent.temp_c`, `tent.power_w`,
-/// `collector.gaps_open`, `fleet.hosts_up`, …); counters advance by delta
-/// against the campaign's own accumulators (`workload.runs_total`,
-/// `collector.attempts_total`, `faults.events_total`, …); and the
-/// append-only ledgers are drained through cursors into trace events —
-/// collection attempts and healed-gap spans (gated by
-/// `collection_events`), fault and incident instants (gated by
-/// `incident_events`).
-///
-/// `netsim.retransmits` counts the collector's backoff-driven catch-up
-/// attempts — the campaign-level analog of transport retransmission,
-/// since the collection pipeline models loss at attempt granularity
-/// rather than per frame.
-///
-/// When a scenario arms observability, [`ObservePhase`] replaces this
-/// phase and performs the same sampling inside its own fleet scan.
-pub struct TraceSamplePhase {
-    cursors: TraceCursors,
-}
-
-impl TraceSamplePhase {
-    /// A fresh sampler (all cursors at zero).
-    pub fn new() -> TraceSamplePhase {
-        TraceSamplePhase {
-            cursors: TraceCursors::new(),
-        }
-    }
-}
-
-impl Default for TraceSamplePhase {
-    fn default() -> Self {
-        TraceSamplePhase::new()
-    }
-}
-
-impl TickPhase for TraceSamplePhase {
-    fn name(&self) -> &str {
-        "trace-sample"
-    }
-
-    fn step(&mut self, ctx: &mut CampaignCtx) {
-        if !ctx.tracer.is_enabled() {
-            return;
-        }
-        let t = ctx.now;
-        let hosts_up = (0..ctx.fleet.len())
-            .filter(|&i| ctx.fleet.installed(i, t) && ctx.fleet.hw.is_running(i))
-            .count();
-        self.cursors.sample(ctx, hosts_up);
-    }
-}
-
 /// Cached per-host dense bucket indices for the three rollup dimensions.
 /// Built once on the observatory's first armed tick; the hot loop then
 /// pushes plain `usize`s — no string hashing per host per tick, keeping
@@ -403,38 +376,6 @@ fn placement_bucket(p: Placement) -> u8 {
     }
 }
 
-/// The observatory's sampling phase: one O(hosts) fleet scan per tick
-/// that feeds the tracer's metric registry (everything
-/// [`TraceSamplePhase`] samples), the dimensional rollups, the SLO
-/// burn-rate engine and the incident flight recorder.
-///
-/// Installed by [`crate::scenario::ScenarioBuilder::with_observability`],
-/// *replacing* any `trace-sample` phase so the campaign never samples
-/// twice. Inert (one branch) when neither the tracer nor the observatory
-/// is armed.
-pub struct ObservePhase {
-    cursors: TraceCursors,
-    caches: Option<RollupCaches>,
-    slo_runs_seen: u64,
-    slo_bad_seen: usize,
-    resets_seen: u64,
-    flight_incident_cursor: usize,
-}
-
-impl ObservePhase {
-    /// A fresh observer (all cursors at zero, caches unbuilt).
-    pub fn new() -> ObservePhase {
-        ObservePhase {
-            cursors: TraceCursors::new(),
-            caches: None,
-            slo_runs_seen: 0,
-            slo_bad_seen: 0,
-            resets_seen: 0,
-            flight_incident_cursor: 0,
-        }
-    }
-}
-
 impl Default for ObservePhase {
     fn default() -> Self {
         ObservePhase::new()
@@ -487,9 +428,8 @@ impl TickPhase for ObservePhase {
             }
         }
 
-        // Trace sampling (gauges, counters, ledger cursors) — exactly
-        // what the stand-alone trace-sample phase does.
-        self.cursors.sample(ctx, hosts_up);
+        // Trace sampling: gauges, counters, ledger cursors.
+        self.sample_trace(ctx, hosts_up);
 
         if let Some(o) = obs.as_deref_mut() {
             // Feed this tick's observations into the SLO engine.
@@ -570,21 +510,12 @@ mod tests {
     use frostlab_trace::{TraceConfig, Tracer};
 
     #[test]
-    fn sample_phase_is_inert_without_a_tracer() {
-        let cfg = ExperimentConfig::short(1, 2);
-        let mut ctx = CampaignCtx::new(cfg);
-        let mut phase = TraceSamplePhase::new();
-        phase.step(&mut ctx);
-        assert_eq!(ctx.tracer.events_recorded(), 0);
-    }
-
-    #[test]
-    fn sample_phase_snapshots_gauges_each_tick() {
+    fn observe_phase_snapshots_gauges_each_tick() {
         let cfg = ExperimentConfig::short(1, 2);
         let start = cfg.start;
         let mut ctx = CampaignCtx::new(cfg);
         ctx.tracer = Tracer::enabled(TraceConfig::default(), start);
-        let mut phase = TraceSamplePhase::new();
+        let mut phase = ObservePhase::new();
         phase.step(&mut ctx);
         let trace = ctx.tracer.finish().expect("enabled");
         assert_eq!(
@@ -655,33 +586,5 @@ mod tests {
         // No host has booted yet (no host-step phase ran), so every
         // bucket exists but none has folded a sample.
         assert!(rollup.dims[2].buckets.iter().all(|b| b.samples == 0));
-    }
-
-    #[test]
-    fn observe_phase_matches_trace_sample_metrics_exactly() {
-        // The observatory's merged scan must sample the tracer exactly
-        // as the stand-alone trace-sample phase does.
-        let run = |observed: bool| {
-            let cfg = ExperimentConfig::short(1, 2);
-            let start = cfg.start;
-            let mut ctx = CampaignCtx::new(cfg);
-            ctx.tracer = Tracer::enabled(TraceConfig::default(), start);
-            if observed {
-                let mut phase = ObservePhase::new();
-                for _ in 0..5 {
-                    phase.step(&mut ctx);
-                    ctx.now += SimDuration::minutes(1);
-                }
-            } else {
-                let mut phase = TraceSamplePhase::new();
-                for _ in 0..5 {
-                    phase.step(&mut ctx);
-                    ctx.now += SimDuration::minutes(1);
-                }
-            }
-            let trace = ctx.tracer.finish().expect("enabled");
-            frostlab_trace::export::to_prometheus(&trace.metrics)
-        };
-        assert_eq!(run(false), run(true));
     }
 }

@@ -29,7 +29,7 @@ use frostlab_trace::{TraceConfig, Tracer};
 
 use crate::config::ExperimentConfig;
 use crate::context::CampaignCtx;
-use crate::observe::{ObservePhase, TracePhaseProbe, TraceSamplePhase};
+use crate::observe::{ObservePhase, TracePhaseProbe};
 use crate::phases::{
     CollectionPhase, EnclosureThermalPhase, HostStepPhase, LoggerPollPhase, PhaseTiming,
     PowerIntegrationPhase, ScriptPhase, TickPhase, TimingProbe, WeatherPhase,
@@ -170,10 +170,10 @@ impl ScenarioBuilder {
     }
 
     /// Arm the campaign's tracer and instrument the pipeline: every phase
-    /// currently in the pipeline is wrapped in a [`TracePhaseProbe`] and a
-    /// [`TraceSamplePhase`] is appended to sample metrics at each tick
-    /// boundary. The finished run carries the frozen trace in
-    /// [`ExperimentResults::trace`].
+    /// currently in the pipeline is wrapped in a [`TracePhaseProbe`] and an
+    /// [`ObservePhase`] is appended (unless one is already present) to
+    /// sample metrics at each tick boundary. The finished run carries the
+    /// frozen trace in [`ExperimentResults::trace`].
     ///
     /// Call this *after* structural edits so late-added phases are probed
     /// too. Tracing draws no randomness and no wall-clock, so results stay
@@ -181,36 +181,30 @@ impl ScenarioBuilder {
     /// byte-identical across runs and ensemble thread counts.
     pub fn with_tracing(mut self, cfg: TraceConfig) -> ScenarioBuilder {
         self.ctx.tracer = Tracer::enabled(cfg, self.ctx.cfg.start);
-        // The sampling phases (`trace-sample`, `observe`) are never
-        // span-probed themselves — they read state, they aren't
-        // substrate work — which also keeps the trace byte-identical
-        // whichever order tracing and observability are armed in.
+        // The sampling phase is never span-probed itself — it reads
+        // state, it isn't substrate work — which also keeps the trace
+        // byte-identical whichever order tracing and observability are
+        // armed in.
         self.phases = self
             .phases
             .into_iter()
             .map(|p| {
-                if p.name() == "observe" || p.name() == "trace-sample" {
+                if p.name() == "observe" {
                     p
                 } else {
                     Box::new(TracePhaseProbe::new(p)) as Box<dyn TickPhase>
                 }
             })
             .collect();
-        // A pipeline that already carries the observatory's sampling
-        // phase must not sample twice: `observe` subsumes `trace-sample`.
-        if !self.phases.iter().any(|p| p.name() == "observe") {
-            self.phases.push(Box::new(TraceSamplePhase::new()));
-        }
+        self.push_observe_phase();
         self
     }
 
     /// Arm the fleet health observatory: dimensional rollups, SLO
     /// burn-rate alerting and the incident flight recorder (see
     /// [`frostlab_obs::ObsConfig`]). An [`ObservePhase`] joins the
-    /// pipeline — *replacing* any `trace-sample` phase, since it performs
-    /// the same trace sampling inside its own O(hosts) fleet scan — and
-    /// the finished run carries the frozen record in
-    /// [`ExperimentResults::obs`].
+    /// pipeline unless tracing already put one there, and the finished
+    /// run carries the frozen record in [`ExperimentResults::obs`].
     ///
     /// Composes with [`ScenarioBuilder::with_tracing`] in either order;
     /// call it *before* [`ScenarioBuilder::with_timing`] so the observe
@@ -219,12 +213,15 @@ impl ScenarioBuilder {
     /// golden artifact stay byte-identical.
     pub fn with_observability(mut self, cfg: ObsConfig) -> ScenarioBuilder {
         self.ctx.obs = Some(Box::new(ObsState::new(&cfg, self.ctx.cfg.tick)));
-        if let Some(idx) = self.phases.iter().position(|p| p.name() == "trace-sample") {
-            self.phases[idx] = Box::new(ObservePhase::new());
-        } else if !self.phases.iter().any(|p| p.name() == "observe") {
+        self.push_observe_phase();
+        self
+    }
+
+    /// Append the pipeline's one sampling phase, if it is not there yet.
+    fn push_observe_phase(&mut self) {
+        if !self.phases.iter().any(|p| p.name() == "observe") {
             self.phases.push(Box::new(ObservePhase::new()));
         }
-        self
     }
 
     /// Finish composition.
@@ -359,24 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_builder_matches_the_experiment_shim_exactly() {
-        let via_builder = ScenarioBuilder::paper(ExperimentConfig::short(2, 10))
-            .build()
-            .run();
-        let via_shim = crate::experiment::Experiment::new(ExperimentConfig::short(2, 10)).run();
-        assert_eq!(
-            via_builder.workload.total_runs(),
-            via_shim.workload.total_runs()
-        );
-        assert_eq!(via_builder.tent_temp_truth, via_shim.tent_temp_truth);
-        assert_eq!(via_builder.incidents, via_shim.incidents);
-        assert_eq!(
-            via_builder.tent_energy_true_kwh,
-            via_shim.tent_energy_true_kwh
-        );
-    }
-
-    #[test]
     fn with_timing_meters_every_phase_without_changing_results() {
         let plain = ScenarioBuilder::paper(ExperimentConfig::short(3, 5))
             .build()
@@ -460,12 +439,12 @@ mod tests {
             .build()
             .run_with_timings();
         assert!(results.trace.is_some());
-        // The trace-sample phase is part of the pipeline now, so it is
-        // metered too; the seven substrate phases keep their own names
-        // through the nested probes.
+        // The observe phase is part of the pipeline now, so it is metered
+        // too; the seven substrate phases keep their own names through
+        // the nested probes.
         let names: Vec<&str> = timings.iter().map(|t| t.phase.as_str()).collect();
         let mut expected: Vec<&str> = STOCK.to_vec();
-        expected.push("trace-sample");
+        expected.push("observe");
         assert_eq!(names, expected);
     }
 
@@ -537,10 +516,6 @@ mod tests {
                 1,
                 "{names:?}"
             );
-            assert!(
-                !names.iter().any(|n| n == "trace-sample"),
-                "observe subsumes trace-sample: {names:?}"
-            );
         }
         // Both orders produce identical traces and obs records.
         let a = obs_then_trace.build().run();
@@ -583,5 +558,217 @@ mod tests {
         let json = serde_json::to_string(&t).expect("plain data");
         let back: PhaseTiming = serde_json::from_str(&json).expect("valid");
         assert_eq!(back, t);
+    }
+}
+
+/// Behavioural tests of the stock paper pipeline, end to end.
+#[cfg(test)]
+mod campaign_tests {
+    use super::*;
+    use frostlab_simkern::time::{SimDuration, SimTime};
+
+    use crate::config::FaultMode;
+
+    #[test]
+    fn short_campaign_runs_and_accumulates() {
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(1, 3))
+            .build()
+            .run();
+        // 3 days, first three tent hosts + twins installed at start+... —
+        // nobody is installed before Feb 19 in the paper fleet, so the
+        // short window Feb 12–15 has zero runs but full weather capture.
+        assert!(
+            results.outside.len() > 400,
+            "outside obs {}",
+            results.outside.len()
+        );
+        assert!(results.tent_temp_truth.len() > 400);
+        assert_eq!(results.workload.total_runs(), 0);
+    }
+
+    #[test]
+    fn ten_day_campaign_produces_runs_and_power() {
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(2, 10))
+            .build()
+            .run();
+        // Hosts 1,2,3 (+ twins) install Feb 19 11:00; window ends Feb 22.
+        let runs = results.workload.total_runs();
+        // 6 machines × ~3 days × 144 runs/day ≈ 2400.
+        assert!((1500..3500).contains(&runs), "runs {runs}");
+        assert!(
+            results.tent_energy_true_kwh > 1.0,
+            "energy {}",
+            results.tent_energy_true_kwh
+        );
+        let mean_w = results.tent_mean_power_w();
+        assert!(mean_w > 0.0 && mean_w < 2000.0, "mean tent power {mean_w}");
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let a = ScenarioBuilder::paper(ExperimentConfig::short(7, 9))
+            .build()
+            .run();
+        let b = ScenarioBuilder::paper(ExperimentConfig::short(7, 9))
+            .build()
+            .run();
+        assert_eq!(a.workload.total_runs(), b.workload.total_runs());
+        assert_eq!(a.tent_temp_truth, b.tent_temp_truth);
+        assert_eq!(a.fault_events.len(), b.fault_events.len());
+        assert_eq!(a.tent_energy_true_kwh, b.tent_energy_true_kwh);
+    }
+
+    #[test]
+    fn summary_json_roundtrips() {
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(11, 8))
+            .build()
+            .run();
+        let summary = results.summary();
+        let json = summary.to_json().expect("plain data serializes");
+        assert!(json.contains("\"total_runs\""));
+        let back: crate::results::CampaignSummary =
+            serde_json::from_str(&json).expect("valid JSON");
+        assert_eq!(back, summary);
+        assert_eq!(back.seed, 11);
+        assert!(back.collection_availability > 0.0);
+    }
+
+    #[test]
+    fn watchdog_logs_the_switch_outage_with_recovery() -> Result<(), serde_json::Error> {
+        // 20 days from Feb 12 cover both §4.2.1 switch deaths (Feb 26 and
+        // Feb 28) and the Mar 1 restoration.
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(5, 20))
+            .build()
+            .run();
+        let switch_incidents: Vec<_> = results
+            .incidents
+            .iter()
+            .filter(|i| i.kind == crate::watchdog::IncidentKind::SwitchFailure)
+            .collect();
+        assert_eq!(switch_incidents.len(), 2, "{:?}", results.incidents);
+        let restored = SimTime::from_ymd_hms(2010, 3, 1, 11, 30, 0);
+        for i in &switch_incidents {
+            assert_eq!(i.resolved, Some(restored), "{i:?}");
+            assert_eq!(i.resolution.as_deref(), Some("spare switch swapped in"));
+        }
+        assert_eq!(
+            switch_incidents[0].started,
+            SimTime::from_ymd_hms(2010, 2, 26, 9, 0, 0)
+        );
+        // Stale tent mirrors during the outage are explained by the open
+        // switch incidents — no spurious staleness alarms.
+        assert!(
+            !results
+                .incidents
+                .iter()
+                .any(|i| i.kind == crate::watchdog::IncidentKind::CollectionStale),
+            "{:?}",
+            results.incidents
+        );
+        // The log round-trips as machine-readable JSON; a serializer error
+        // propagates as a test failure instead of a panic.
+        let json = results.incident_log_json()?;
+        assert!(json.contains("switch-0") && json.contains("switch-1"));
+        Ok(())
+    }
+
+    #[test]
+    fn retries_heal_the_switch_outage_gap() {
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(5, 20))
+            .build()
+            .run();
+        // Retry attempts were made during the outage…
+        let retry_attempts = results
+            .collection
+            .iter()
+            .filter(|r| r.kind == frostlab_netsim::collector::AttemptKind::Retry)
+            .count();
+        assert!(retry_attempts > 0, "no catch-up retries recorded");
+        // …and every tent host's gap healed shortly after the Mar 1 repair:
+        // the backoff cap is 20 minutes, so recovery lands within ~25 min
+        // of the restoration instead of waiting for the 2 h scheduled round.
+        let restored = SimTime::from_ymd_hms(2010, 3, 1, 11, 30, 0);
+        assert!(!results.collection_gaps.is_empty());
+        for gap in &results.collection_gaps {
+            assert!(gap.failed_attempts > 0);
+            assert!(gap.end > restored, "{gap:?}");
+            assert!(
+                gap.end - restored < SimDuration::minutes(30),
+                "recovery should ride a capped retry, not the next scheduled round: {gap:?}"
+            );
+        }
+        // Availability still measures the scheduled cadence only.
+        let avail = results.collection_availability();
+        assert!(avail < 1.0 && avail > 0.5, "availability {avail}");
+    }
+
+    #[test]
+    fn chaos_campaign_runs_deterministically() {
+        let cfg = || ExperimentConfig {
+            chaos: Some(frostlab_faults::chaos::ChaosConfig::paper_like()),
+            fault_mode: FaultMode::Stochastic,
+            ..ExperimentConfig::short(13, 20)
+        };
+        let a = ScenarioBuilder::paper(cfg()).build().run();
+        let b = ScenarioBuilder::paper(cfg()).build().run();
+        assert_eq!(a.workload.total_runs(), b.workload.total_runs());
+        assert_eq!(a.collection.len(), b.collection.len());
+        assert_eq!(a.incidents, b.incidents);
+        // 20 hostile days should produce injected events beyond the two
+        // scripted switch deaths.
+        assert!(
+            a.fault_events.len() > 2,
+            "chaos injected nothing: {:?}",
+            a.fault_events
+        );
+    }
+
+    #[test]
+    fn chaos_off_stochastic_matches_plain_stochastic() {
+        // `chaos: None` must be bit-identical to a build that never had
+        // chaos at all — same seed, same stochastic draws, same outputs.
+        let plain = ScenarioBuilder::paper(ExperimentConfig {
+            fault_mode: FaultMode::Stochastic,
+            ..ExperimentConfig::short(17, 15)
+        })
+        .build()
+        .run();
+        let with_none = ScenarioBuilder::paper(ExperimentConfig {
+            fault_mode: FaultMode::Stochastic,
+            chaos: None,
+            ..ExperimentConfig::short(17, 15)
+        })
+        .build()
+        .run();
+        assert_eq!(plain.workload.total_runs(), with_none.workload.total_runs());
+        assert_eq!(plain.tent_temp_truth, with_none.tent_temp_truth);
+        assert_eq!(plain.collection.len(), with_none.collection.len());
+        assert_eq!(plain.tent_energy_true_kwh, with_none.tent_energy_true_kwh);
+    }
+
+    #[test]
+    fn tent_is_warmer_than_outside_and_cooler_than_basement() {
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(3, 12))
+            .build()
+            .run();
+        let out_mean: f64 =
+            results.outside.iter().map(|o| o.temp_c).sum::<f64>() / results.outside.len() as f64;
+        // Compare over the loaded window (after first installs).
+        let loaded_from = SimTime::from_date(2010, 2, 20);
+        let tent_mean = results
+            .tent_temp_truth
+            .window(loaded_from, results.window.1)
+            .mean()
+            .unwrap();
+        let basement_mean = results.basement_temp.mean().unwrap();
+        assert!(
+            tent_mean > out_mean,
+            "tent {tent_mean} vs outside {out_mean}"
+        );
+        assert!(
+            basement_mean > tent_mean,
+            "basement {basement_mean} vs tent {tent_mean}"
+        );
+        assert!((18.0..24.0).contains(&basement_mean));
     }
 }

@@ -169,10 +169,11 @@ impl ScenarioSpec {
         })
     }
 
-    /// Build the runnable campaign for `seed`: the stock paper pipeline,
-    /// plus the observatory when [`ScenarioSpec::observe`] is set and the
-    /// poison phase when [`ScenarioSpec::poison`] is set.
-    pub fn build(&self, seed: u64) -> Result<Scenario, SpecError> {
+    /// Compose the campaign for `seed`: the stock paper pipeline, plus
+    /// the observatory when [`ScenarioSpec::observe`] is set and the
+    /// poison phase when [`ScenarioSpec::poison`] is set. Callers may arm
+    /// more instrumentation (e.g. tracing) before building.
+    pub fn builder(&self, seed: u64) -> Result<ScenarioBuilder, SpecError> {
         let mut b = ScenarioBuilder::paper(self.to_config(seed)?);
         if self.observe {
             b = b.with_observability(frostlab_obs::ObsConfig::default());
@@ -180,7 +181,13 @@ impl ScenarioSpec {
         if self.poison {
             b = b.push(Box::new(PanicPhase::after_ticks(POISON_PANIC_TICK)));
         }
-        Ok(b.build())
+        Ok(b)
+    }
+
+    /// Build the runnable campaign for `seed` (see
+    /// [`ScenarioSpec::builder`]).
+    pub fn build(&self, seed: u64) -> Result<Scenario, SpecError> {
+        self.builder(seed).map(ScenarioBuilder::build)
     }
 }
 

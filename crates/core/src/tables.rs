@@ -242,8 +242,8 @@ pub fn t6_savings(seed: u64) -> Table {
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::experiment::Experiment;
     use crate::prototype::run_prototype;
+    use crate::scenario::ScenarioBuilder;
 
     #[test]
     fn t4_is_config_free_and_matches_paper() {
@@ -270,7 +270,9 @@ mod tests {
 
     #[test]
     fn campaign_tables_render() {
-        let results = Experiment::new(ExperimentConfig::short(5, 10)).run();
+        let results = ScenarioBuilder::paper(ExperimentConfig::short(5, 10))
+            .build()
+            .run();
         let t1 = t1_failures(&results).to_string();
         assert!(t1.contains("tent (outside)"));
         assert!(t1.contains("4.5 %"), "intel row: {t1}");

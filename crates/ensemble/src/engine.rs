@@ -17,9 +17,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
-use frostlab_core::config::ExperimentConfig;
 use frostlab_core::results::ExperimentResults;
-use frostlab_core::{Scenario, ScenarioBuilder};
+use frostlab_core::Scenario;
 
 /// Progress callback: `(completed_jobs, total_jobs)`, invoked on the
 /// caller's thread each time a job is merged (i.e. in index order).
@@ -106,12 +105,12 @@ impl<'a> Ensemble<'a> {
 
         let next = AtomicU64::new(0);
         let (tx, rx) = mpsc::channel::<(u64, R)>();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
                 let tx = tx.clone();
                 let next = &next;
                 let job = &job;
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= total {
                         break;
@@ -138,8 +137,7 @@ impl<'a> Ensemble<'a> {
                 }
             }
             debug_assert_eq!(frontier, total, "all jobs merged");
-        })
-        .expect("ensemble worker panicked");
+        });
     }
 
     /// Run one [`Scenario`] per index, project each
@@ -161,23 +159,6 @@ impl<'a> Ensemble<'a> {
                 let results = make_scenario(i).run();
                 project(&results)
             },
-            sink,
-        )
-    }
-
-    /// Convenience over [`Ensemble::run_scenarios`] for the common case:
-    /// one stock paper-pipeline campaign per index, configured by
-    /// `make_config`.
-    pub fn run_experiments<C, P, R, S>(&self, make_config: C, project: P, sink: S)
-    where
-        C: Fn(u64) -> ExperimentConfig + Sync,
-        P: Fn(&ExperimentResults) -> R + Sync,
-        R: Send,
-        S: FnMut(u64, R),
-    {
-        self.run_scenarios(
-            |i| ScenarioBuilder::paper(make_config(i)).build(),
-            project,
             sink,
         )
     }

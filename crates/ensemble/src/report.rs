@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use frostlab_analysis::report::{pct, Table};
 use frostlab_analysis::stats::{wilson_interval, Welford};
 use frostlab_core::config::ExperimentConfig;
+use frostlab_core::ScenarioBuilder;
 
 use crate::engine::Ensemble;
 
@@ -47,8 +48,8 @@ where
     let mut any_tent_failure = 0u64;
     let mut detail: Vec<MonteCarloRow> = Vec::with_capacity(DETAIL_ROWS);
 
-    Ensemble::new(campaigns).threads(threads).run_experiments(
-        make_config,
+    Ensemble::new(campaigns).threads(threads).run_scenarios(
+        |i| ScenarioBuilder::paper(make_config(i)).build(),
         |r| {
             let cmp = r.failure_comparison();
             MonteCarloRow {

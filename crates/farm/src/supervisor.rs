@@ -32,7 +32,6 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,7 +39,7 @@ use std::time::Duration;
 
 use frostlab_core::watchdog::{IncidentKind, IncidentRecord};
 use frostlab_core::{JobSpec, MatrixSpec};
-use frostlab_ensemble::{CampaignAggregate, EnsembleAlerts, EnsembleSummary, SeedAlerts};
+use frostlab_ensemble::{run_job, CampaignAggregate, EnsembleAlerts, EnsembleSummary};
 use frostlab_trace::export::to_prometheus;
 use frostlab_trace::MetricsRegistry;
 
@@ -506,7 +505,7 @@ impl Farm {
 
     /// Fold every observed job's stored alerts sidecar, in manifest job
     /// order, into one [`EnsembleAlerts`] report — the same per-seed fold
-    /// [`frostlab_ensemble::run_observed_sweep`] performs in-process, so
+    /// [`frostlab_ensemble::sweep`] performs in-process, so
     /// the two are byte-comparable at any worker count. Returns `None`
     /// when no job in the matrix armed observability. Like
     /// [`Farm::merge`], quarantined jobs are excluded and non-terminal
@@ -599,27 +598,16 @@ fn process_job(
         return Ok(JobOutcome::Cached);
     }
 
-    let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-        spec.scenario.build(spec.seed).map(|scenario| {
-            let results = scenario.run();
-            let alerts = results
-                .obs
-                .as_ref()
-                .map(|o| SeedAlerts::from_obs(results.seed, o));
-            (results.summary(), alerts)
-        })
-    }));
-    let note = match attempt_result {
-        Ok(Ok((summary, alerts))) => {
-            if let Some(alerts) = &alerts {
+    let note = match run_job(spec, false) {
+        Ok(output) => {
+            if let Some(alerts) = &output.alerts {
                 store.put_alerts(key, worker, alerts)?;
             }
-            store.put(key, worker, &summary)?;
+            store.put(key, worker, &output.summary)?;
             lock(wal).append(&WalRecord::complete(epoch, worker, job, false))?;
             return Ok(JobOutcome::Ran);
         }
-        Ok(Err(spec_err)) => format!("spec error: {spec_err}"),
-        Err(panic) => format!("panic: {}", panic_message(&panic)),
+        Err(err) => err.to_string(),
     };
 
     let attempts = {
@@ -653,16 +641,6 @@ fn quarantine_incident(spec: &JobSpec, key: &str, attempts: u64, note: &str) -> 
         started: format!("unix_ms:{}", now_unix_ms()),
         resolved: Some(format!("unix_ms:{}", now_unix_ms())),
         resolution: Some(format!("quarantined after {attempts} attempts: {note}")),
-    }
-}
-
-fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

@@ -328,13 +328,22 @@ impl Wal {
 mod tests {
     use super::*;
 
-    fn wal_image(records: &[WalRecord]) -> Vec<u8> {
+    /// Fresh scratch directory per call, unique across parallel test
+    /// threads of one process.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
-            "frostlab-wal-test-{}-{}",
+            "frostlab-wal-{tag}-{}-{}",
             std::process::id(),
-            now_unix_ms()
+            SEQ.fetch_add(1, std::sync::atomic::Ordering::SeqCst)
         ));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("tmp dir");
+        dir
+    }
+
+    fn wal_image(records: &[WalRecord]) -> Vec<u8> {
+        let dir = scratch("test");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path).expect("create");
         for r in records {
@@ -409,12 +418,7 @@ mod tests {
 
     #[test]
     fn open_truncates_torn_tail_and_appends_cleanly() {
-        let dir = std::env::temp_dir().join(format!(
-            "frostlab-wal-open-{}-{}",
-            std::process::id(),
-            now_unix_ms()
-        ));
-        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let dir = scratch("open");
         let path = dir.join("wal.log");
         {
             let mut wal = Wal::create(&path).expect("create");

@@ -1,42 +1,31 @@
 //! # frostlab-netsim
 //!
-//! The monitoring network, simulated at frame level.
+//! The monitoring host's collection pipeline.
 //!
 //! §3.5: a monitoring host recovers all md5sums and sensor data every 20
 //! minutes over an OpenSSH tunnel with public-key authentication, new files
 //! transferred by rsync; §4.2.1: connectivity ran through two 8-port
 //! switches from a whiny, defective batch, both of which died mid-campaign.
-//! To reproduce the collection pipeline and its failure behaviour, this
-//! crate implements the stack from the wire up — event-driven and
-//! allocation-conscious in the smoltcp tradition:
+//! This crate models that pipeline at the granularity the campaign
+//! observes — one collection attempt per host per round, which either
+//! reaches the host or does not:
 //!
-//! * [`frame`] — Ethernet-style frames and MAC addresses (`bytes` payloads);
-//! * [`net`] — links with latency and loss, learning switches (8 ports,
-//!   MAC tables, flooding), host NICs with inboxes, deterministic delivery
-//!   through a time-ordered queue;
-//! * [`transport`] — a miniature reliable, in-order message transport
-//!   (sliding window, cumulative ACKs, retransmission timers) — enough TCP
-//!   to carry rsync traffic over a lossy link;
-//! * [`rsyncp`] — the actual rsync algorithm: rolling weak checksum + MD5
-//!   strong checksum signatures, delta computation and application;
 //! * [`auth`] — a toy Diffie–Hellman-flavoured handshake modelling the
 //!   OpenSSH public-key session setup (NOT cryptography; a protocol-flow
 //!   model, clearly labelled);
+//! * [`rsyncp`] — the actual rsync algorithm: rolling weak checksum + MD5
+//!   strong checksum signatures, delta computation and application;
 //! * [`collector`] — the 20-minute collection round: authenticate, exchange
-//!   signatures, ship deltas, mirror the fleet's logs.
+//!   signatures, ship deltas, mirror the fleet's logs, and retry
+//!   unreachable hosts with capped exponential backoff.
+//!
+//! Switch outages and link loss reach the collector as reachability: the
+//! campaign's collection phase asks whether a host's path is up and
+//! records an unreachable attempt when it is not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;
 pub mod collector;
-pub mod error;
-pub mod frame;
-pub mod net;
 pub mod rsyncp;
-pub mod transport;
-
-pub use error::NetError;
-pub use frame::{Frame, MacAddr};
-pub use net::{Network, SwitchId};
-pub use transport::Endpoint;

@@ -4,8 +4,9 @@
 //! and the ensemble engine. It walks the matrix's canonical expansion —
 //! scenario-major, seed-minor, exactly the order
 //! [`run_matrix_sweep`](frostlab_ensemble::run_matrix_sweep) uses — and
-//! folds one [`CampaignSummary`] per job into a [`CampaignAggregate`],
-//! so the frozen summary artifact is **byte-identical** to
+//! folds one [`CampaignSummary`] per job into the same [`SweepFold`]
+//! [`sweep`](frostlab_ensemble::sweep) uses, so the frozen summary
+//! artifact is **byte-identical** to
 //! `ensemble --matrix --invariant` for the same matrix (the
 //! `service-smoke` CI job diffs the two).
 //!
@@ -16,21 +17,20 @@
 //! a cached summary is indistinguishable from a re-simulated one, which
 //! is what makes serving from cache sound.
 //!
-//! The **first job** of every matrix additionally runs with the tracer
-//! armed (tracing is perturbation-free — the `trace-determinism` CI gate
-//! pins that) to produce the `trace.jsonl` / `perfetto.json` artifacts.
+//! Every simulated campaign goes through [`run_job`], the runner farm
+//! workers use too. The **first job** of every matrix runs with the
+//! tracer armed (tracing is perturbation-free — the `trace-determinism`
+//! CI gate pins that) to produce the `trace.jsonl` / `perfetto.json`
+//! artifacts.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
 use frostlab_core::results::CampaignSummary;
-use frostlab_core::scenario::ScenarioBuilder;
-use frostlab_core::spec::{JobSpec, ScenarioSpec};
+use frostlab_core::spec::JobSpec;
 use frostlab_core::MatrixSpec;
-use frostlab_ensemble::{CampaignAggregate, EnsembleAlerts, SeedAlerts};
-use frostlab_obs::ObsConfig;
+use frostlab_ensemble::{run_job, JobError, SeedAlerts, SweepFold};
 use frostlab_trace::export::{to_chrome_trace, to_jsonl};
-use frostlab_trace::TraceConfig;
 
 use crate::registry::Artifacts;
 
@@ -144,9 +144,7 @@ pub fn execute_matrix(
         .validate()
         .map_err(|e| ExecError::InvalidSpec(e.to_string()))?;
     let jobs = matrix.expand();
-    let mut agg = CampaignAggregate::new();
-    let mut alerts = EnsembleAlerts::new(matrix.seed_start);
-    let any_observed = jobs.iter().any(|j| j.scenario.observe);
+    let mut fold = SweepFold::new(matrix.seed_start);
     let mut stats = ExecStats::default();
     let mut trace_jsonl = String::new();
     let mut perfetto_json = String::new();
@@ -182,28 +180,24 @@ pub fn execute_matrix(
                 run.outcome
             }
         };
-        agg.absorb(&outcome.summary);
-        if let Some(seed_alerts) = outcome.alerts {
-            alerts.absorb(seed_alerts);
-        }
+        fold.absorb(&outcome.summary, None, outcome.alerts);
     }
+    let report = fold.finish(0);
 
     // Trailing newline included: `ensemble --matrix --invariant` prints
     // with println!, and "byte-identical to the CLI" means every byte.
-    let summary_json = agg
-        .finish(matrix.seed_start, 0)
+    let summary_json = report
+        .summary
         .invariant_json()
         .map(|json| format!("{json}\n"))
         .map_err(|e| ExecError::Serialize(e.to_string()))?;
-    let alerts_json = if any_observed {
-        Some(
-            alerts
-                .to_json()
-                .map_err(|e| ExecError::Serialize(e.to_string()))?,
-        )
-    } else {
-        None
-    };
+    // Observed jobs always carry alerts, so the report exists exactly
+    // when the matrix has an observed scenario.
+    let alerts_json = report
+        .alerts
+        .map(|a| a.to_json())
+        .transpose()
+        .map_err(|e| ExecError::Serialize(e.to_string()))?;
     Ok((
         Artifacts {
             summary_json,
@@ -221,25 +215,17 @@ struct CampaignRun {
     perfetto_json: String,
 }
 
-/// Build and run one campaign, optionally traced. Mirrors
-/// [`ScenarioSpec::build`] exactly (paper pipeline + observability +
-/// poison), with the tracer wrapped around the representative so the
-/// matrix gets its `trace.jsonl`/`perfetto.json` artifacts.
+/// Run one campaign through [`run_job`], tracing the representative so
+/// the matrix gets its `trace.jsonl`/`perfetto.json` artifacts.
 fn run_campaign(job: &JobSpec, index: usize, traced: bool) -> Result<CampaignRun, ExecError> {
-    let spec = &job.scenario;
-    let seed = job.seed;
-    let scenario = if traced {
-        build_traced(spec, seed)?
-    } else {
-        spec.build(seed)
-            .map_err(|e| ExecError::InvalidSpec(e.to_string()))?
-    };
-    let results = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| scenario.run()))
-        .map_err(|payload| ExecError::CampaignPanicked {
+    let output = run_job(job, traced).map_err(|e| match e {
+        JobError::Spec(e) => ExecError::InvalidSpec(e.to_string()),
+        JobError::Panic(message) => ExecError::CampaignPanicked {
             job_index: index,
-            message: panic_text(payload),
-        })?;
-    let (trace_jsonl, perfetto_json) = match results.trace.as_ref() {
+            message,
+        },
+    })?;
+    let (trace_jsonl, perfetto_json) = match output.trace.as_ref() {
         Some(trace) => (
             to_jsonl(trace).map_err(|e| ExecError::Serialize(e.to_string()))?,
             to_chrome_trace(trace).map_err(|e| ExecError::Serialize(e.to_string()))?,
@@ -248,46 +234,18 @@ fn run_campaign(job: &JobSpec, index: usize, traced: bool) -> Result<CampaignRun
     };
     Ok(CampaignRun {
         outcome: CachedCampaign {
-            summary: results.summary(),
-            alerts: results.obs.as_ref().map(|o| SeedAlerts::from_obs(seed, o)),
+            summary: output.summary,
+            alerts: output.alerts,
         },
         trace_jsonl,
         perfetto_json,
     })
 }
 
-/// [`ScenarioSpec::build`] with the tracer armed: paper pipeline,
-/// tracing, then observability/poison in the same order `build` uses
-/// (`with_tracing`/`with_observability` arm-order commutes — PR 9).
-fn build_traced(spec: &ScenarioSpec, seed: u64) -> Result<frostlab_core::Scenario, ExecError> {
-    let cfg = spec
-        .to_config(seed)
-        .map_err(|e| ExecError::InvalidSpec(e.to_string()))?;
-    let mut b = ScenarioBuilder::paper(cfg).with_tracing(TraceConfig::default());
-    if spec.observe {
-        b = b.with_observability(ObsConfig::default());
-    }
-    if spec.poison {
-        b = b.push(Box::new(frostlab_core::spec::PanicPhase::after_ticks(
-            frostlab_core::spec::POISON_PANIC_TICK,
-        )));
-    }
-    Ok(b.build())
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frostlab_core::spec::ScenarioSpec;
     use frostlab_ensemble::run_matrix_sweep;
     use std::cell::Cell;
 
@@ -378,6 +336,40 @@ mod tests {
             other => panic!("expected CampaignPanicked, got {other:?}"),
         }
         assert!(cache.is_empty(), "failed campaigns must not be cached");
+    }
+
+    /// FNV-1a digests of every artifact a fresh-cache execution freezes,
+    /// as `summary trace perfetto alerts` (`-` for an absent artifact).
+    fn artifact_digests(observe: bool) -> String {
+        let mut spec = ScenarioSpec::new("proto", 9, "helsinki");
+        spec.observe = observe;
+        spec.chaos = observe;
+        let matrix = MatrixSpec {
+            scenarios: vec![spec],
+            seed_start: 5,
+            seeds: 2,
+        };
+        let (a, _) = execute_matrix(&matrix, &ResultCache::new(), &|_| {}).expect("runs");
+        let hex = |s: &str| format!("{:016x}", frostlab_core::spec::fnv1a(s.as_bytes()));
+        format!(
+            "{} {} {} {}",
+            hex(&a.summary_json),
+            hex(&a.trace_jsonl),
+            hex(&a.perfetto_json),
+            a.alerts_json.as_deref().map_or("-".to_string(), hex)
+        )
+    }
+
+    #[test]
+    fn artifacts_match_pinned_hashes() {
+        assert_eq!(
+            artifact_digests(false),
+            "6e22c3be97b59eaa 0dc5f59c7dcf1303 17abe647dd7affa6 -"
+        );
+        assert_eq!(
+            artifact_digests(true),
+            "6e22c3be97b59eaa 56a1b29662b00308 121b8f7f671e7c77 952c27d7af4df157"
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use frostlab::analysis::stats::wilson_interval;
 use frostlab::climate::presets;
 use frostlab::climate::weather::WeatherModel;
 use frostlab::core::config::ExperimentConfig;
+use frostlab::core::ScenarioBuilder;
 use frostlab::ensemble::Ensemble;
 use frostlab::faults::types::HostId;
 use frostlab::faults::FaultInjector;
@@ -99,10 +100,13 @@ fn ablation_tent() {
 
 fn ablation_ecc() {
     println!("ablation 2 — ECC everywhere vs the paper's mixed fleet (scripted campaign)");
-    Ensemble::new(2).run_experiments(
-        |i| ExperimentConfig {
-            force_ecc: i == 1,
-            ..ExperimentConfig::paper_scripted(42)
+    Ensemble::new(2).run_scenarios(
+        |i| {
+            ScenarioBuilder::paper(ExperimentConfig {
+                force_ecc: i == 1,
+                ..ExperimentConfig::paper_scripted(42)
+            })
+            .build()
         },
         |r| {
             let corrected: u64 = r.hosts.values().map(|h| h.silent_corruptions).sum();

@@ -14,6 +14,7 @@ use frostlab::analysis::report::Table;
 use frostlab::climate::presets;
 use frostlab::climate::weather::ClimateParams;
 use frostlab::core::config::{ExperimentConfig, FaultMode};
+use frostlab::core::ScenarioBuilder;
 use frostlab::ensemble::Ensemble;
 use frostlab::faults::types::FaultKind;
 
@@ -43,11 +44,14 @@ fn main() {
         ],
     );
 
-    Ensemble::new(climates.len() as u64).run_experiments(
-        |i| ExperimentConfig {
-            climate: climates[i as usize].clone(),
-            fault_mode: FaultMode::Stochastic,
-            ..ExperimentConfig::paper_stochastic(seed)
+    Ensemble::new(climates.len() as u64).run_scenarios(
+        |i| {
+            ScenarioBuilder::paper(ExperimentConfig {
+                climate: climates[i as usize].clone(),
+                fault_mode: FaultMode::Stochastic,
+                ..ExperimentConfig::paper_stochastic(seed)
+            })
+            .build()
         },
         |r| {
             let out_min = r

@@ -19,7 +19,7 @@
 //! | [`faults`] | Arrhenius/Peck/Coffin–Manson hazards, injection, repair policy |
 //! | [`compress`] | tar, bzip2-style block compression, MD5, `bzip2recover` |
 //! | [`workload`] | the 10-minute pack-verify load with 0–119 s jitter |
-//! | [`netsim`] | frames, learning switches, mini reliable transport, rsync, ssh-ish auth |
+//! | [`netsim`] | the 20-minute collection round: ssh-ish auth handshake, rsync delta transfer, retrying collector |
 //! | [`telemetry`] | Lascar logger, Technoline meter, outlier removal |
 //! | [`energy`] | CRAC/HVAC plant, PUE, air-economizer comparison |
 //! | [`analysis`] | Wilson intervals, exposure estimates, report tables |
@@ -33,10 +33,12 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use frostlab::core::{Experiment, ExperimentConfig};
+//! use frostlab::core::{ExperimentConfig, ScenarioBuilder};
 //!
 //! // Re-run the paper's campaign with its documented fault history.
-//! let results = Experiment::new(ExperimentConfig::paper_scripted(42)).run();
+//! let results = ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42))
+//!     .build()
+//!     .run();
 //! assert_eq!(results.workload.hash_errors().len(), 5);
 //! println!("fleet failure rate: {:.1} %", 100.0 * results.failure_comparison().fleet().rate);
 //! ```

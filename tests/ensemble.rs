@@ -4,9 +4,10 @@
 //! worker finished first) staying fixed.
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
+use frostlab::core::Scenario;
 use frostlab::core::ScenarioBuilder;
 use frostlab::ensemble::report::monte_carlo_report;
-use frostlab::ensemble::{run_summary_sweep, CampaignAggregate, Ensemble};
+use frostlab::ensemble::{sweep, CampaignAggregate, Ensemble};
 
 /// A cheap stochastic campaign for test sweeps: 2 simulated days.
 fn short_stochastic(seed: u64) -> ExperimentConfig {
@@ -16,10 +17,14 @@ fn short_stochastic(seed: u64) -> ExperimentConfig {
     }
 }
 
+fn short_stochastic_scenario(seed: u64) -> Scenario {
+    ScenarioBuilder::paper(short_stochastic(seed)).build()
+}
+
 #[test]
 fn summary_sweep_is_thread_count_invariant() {
-    let serial = run_summary_sweep(0, 6, 1, short_stochastic);
-    let parallel = run_summary_sweep(0, 6, 4, short_stochastic);
+    let serial = sweep(0, 6, 1, short_stochastic_scenario).summary;
+    let parallel = sweep(0, 6, 4, short_stochastic_scenario).summary;
     assert_eq!(
         serial.invariant_json().unwrap(),
         parallel.invariant_json().unwrap(),
@@ -34,7 +39,8 @@ fn summary_sweep_is_thread_count_invariant() {
 
 #[test]
 fn sweep_matches_hand_rolled_serial_loop() {
-    let sweep = run_summary_sweep(3, 4, 2, short_stochastic);
+    let report = sweep(3, 4, 2, short_stochastic_scenario);
+    assert!(report.metrics.is_none() && report.alerts.is_none());
     let mut agg = CampaignAggregate::new();
     for seed in 3..7 {
         agg.absorb(
@@ -45,7 +51,7 @@ fn sweep_matches_hand_rolled_serial_loop() {
         );
     }
     assert_eq!(
-        sweep.invariant_json().unwrap(),
+        report.summary.invariant_json().unwrap(),
         agg.finish(3, 2).invariant_json().unwrap()
     );
 }
@@ -78,7 +84,11 @@ fn experiment_sweep_reports_progress_in_order() {
     Ensemble::new(4)
         .threads(2)
         .on_progress(|done, total| seen.borrow_mut().push((done, total)))
-        .run_experiments(short_stochastic, |r| r.seed, |_, seed| seeds.push(seed));
+        .run_scenarios(
+            short_stochastic_scenario,
+            |r| r.seed,
+            |_, seed| seeds.push(seed),
+        );
     assert_eq!(
         seen.into_inner(),
         (1..=4).map(|d| (d, 4)).collect::<Vec<_>>()

@@ -13,7 +13,7 @@
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::fleet::FleetSpec;
 use frostlab::core::ScenarioBuilder;
-use frostlab::ensemble::run_summary_sweep;
+use frostlab::ensemble::sweep;
 
 /// FNV-1a 64-bit over the artifact bytes (same gate as `golden_hash`).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -64,9 +64,12 @@ fn kilohost_campaign_matches_golden() {
 #[test]
 fn kilohost_ensemble_is_thread_count_invariant() {
     let sweep = |threads| {
-        run_summary_sweep(0, 2, threads, kilohost_config)
-            .invariant_json()
-            .expect("invariant summary serializes")
+        sweep(0, 2, threads, |seed| {
+            ScenarioBuilder::paper(kilohost_config(seed)).build()
+        })
+        .summary
+        .invariant_json()
+        .expect("invariant summary serializes")
     };
     let t1 = sweep(1);
     let t4 = sweep(4);

@@ -15,7 +15,7 @@
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::{figures, tables, ScenarioBuilder};
-use frostlab::ensemble::run_summary_sweep;
+use frostlab::ensemble::sweep;
 
 /// FNV-1a 64-bit over the artifact bytes: stable, dependency-free, and
 /// plenty to detect any byte-level drift.
@@ -74,10 +74,14 @@ fn paper_artifacts() -> Vec<(&'static str, String)> {
 }
 
 fn ensemble_invariant(threads: usize) -> String {
-    run_summary_sweep(0, 6, threads, |seed| ExperimentConfig {
-        fault_mode: FaultMode::Stochastic,
-        ..ExperimentConfig::short(seed, 5)
+    sweep(0, 6, threads, |seed| {
+        ScenarioBuilder::paper(ExperimentConfig {
+            fault_mode: FaultMode::Stochastic,
+            ..ExperimentConfig::short(seed, 5)
+        })
+        .build()
     })
+    .summary
     .invariant_json()
     .expect("invariant summary serializes")
 }

@@ -15,7 +15,7 @@
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::ScenarioBuilder;
-use frostlab::ensemble::run_observed_sweep;
+use frostlab::ensemble::sweep;
 use frostlab::obs::{HealthDigest, ObsConfig};
 use frostlab::trace::TraceConfig;
 
@@ -65,18 +65,20 @@ fn observation_does_not_perturb_the_campaign() {
 
 #[test]
 fn alert_timeline_and_digest_are_thread_count_invariant() {
-    let sweep = |threads: usize| {
-        run_observed_sweep(
-            7,
-            4,
-            threads,
-            TraceConfig::metrics_only(),
-            ObsConfig::default(),
-            stochastic,
+    let observed = |threads: usize| {
+        let report = sweep(7, 4, threads, |seed| {
+            ScenarioBuilder::paper(stochastic(seed))
+                .with_tracing(TraceConfig::metrics_only())
+                .with_observability(ObsConfig::default())
+                .build()
+        });
+        (
+            report.metrics.expect("traced sweep"),
+            report.alerts.expect("observed sweep"),
         )
     };
-    let (_, metrics_a, alerts_a) = sweep(1);
-    let (_, metrics_b, alerts_b) = sweep(4);
+    let (metrics_a, alerts_a) = observed(1);
+    let (metrics_b, alerts_b) = observed(4);
     assert_eq!(
         alerts_a.timeline_jsonl(),
         alerts_b.timeline_jsonl(),

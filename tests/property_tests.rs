@@ -13,11 +13,9 @@ use frostlab::compress::rle::{rle_decode, rle_encode};
 use frostlab::hardware::disk::{Disk, BLOCK_SIZE};
 use frostlab::hardware::raid::{Raid1, Raid5};
 use frostlab::netsim::rsyncp;
-use frostlab::netsim::transport::drive_until_idle;
-use frostlab::netsim::{Endpoint, MacAddr, Network};
 use frostlab::simkern::event::EventQueue;
 use frostlab::simkern::rng::Rng;
-use frostlab::simkern::time::{SimDuration, SimTime};
+use frostlab::simkern::time::SimTime;
 use proptest::prelude::*;
 
 proptest! {
@@ -239,87 +237,6 @@ proptest! {
         let wb = frostlab::energy::wetside::wet_bulb_c(t, rh);
         prop_assert!(wb <= t, "wb {wb} > t {t} at rh {rh}");
         prop_assert!(wb > t - 30.0, "absurd depression: {wb} at t {t}, rh {rh}");
-    }
-
-    #[test]
-    fn transport_delivers_in_order_under_loss_reorder_and_dup(
-        seed in any::<u64>(),
-        loss_pct in 0u8..35,
-        jitter_secs in 0i64..4,
-        dup_pct in 0u8..25,
-        payloads in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..256),
-            1..10,
-        ),
-    ) {
-        // The adaptive-RTO transport must deliver every message, in order
-        // and exactly once, across a network that simultaneously drops,
-        // reorders (via random per-hop jitter) and duplicates frames.
-        let mut net = Network::new(&Rng::new(seed));
-        let sw = net.add_switch();
-        let (ma, mb) = (MacAddr::from_id(1), MacAddr::from_id(2));
-        net.add_host(ma);
-        net.add_host(mb);
-        net.attach_host(ma, sw, 0).expect("free port");
-        net.attach_host(mb, sw, 1).expect("free port");
-        net.loss_prob = loss_pct as f64 / 100.0;
-        net.jitter_max = SimDuration::secs(jitter_secs);
-        net.dup_prob = dup_pct as f64 / 100.0;
-
-        let mut a = Endpoint::new(ma, mb);
-        let mut b = Endpoint::new(mb, ma);
-        let sent: Vec<bytes::Bytes> = payloads
-            .into_iter()
-            .map(bytes::Bytes::from)
-            .collect();
-        for m in &sent {
-            a.send(m.clone());
-        }
-        let start = SimTime::from_secs(0);
-        // Worst case: every in-flight segment hits max backoff repeatedly;
-        // a generous deadline keeps the property about *correctness*, not
-        // speed.
-        let deadline = start + SimDuration::days(30);
-        drive_until_idle(&mut net, &mut a, &mut b, start, SimDuration::secs(1), deadline);
-        prop_assert!(!a.peer_dead(), "peer declared dead under recoverable conditions");
-        prop_assert_eq!(b.take_delivered(), sent);
-        prop_assert!(a.outstanding() == 0 && a.idle());
-    }
-
-    #[test]
-    fn transport_declares_dead_peer_within_retry_budget(
-        seed in any::<u64>(),
-        max_retries in 1u32..6,
-    ) {
-        // Regression for the dead-peer path: against a black-hole network
-        // the sender must give up after exactly `max_retries`
-        // retransmissions and surface `PeerDead` — never spin forever.
-        let mut net = Network::new(&Rng::new(seed));
-        let sw = net.add_switch();
-        let (ma, mb) = (MacAddr::from_id(1), MacAddr::from_id(2));
-        net.add_host(ma);
-        net.add_host(mb);
-        net.attach_host(ma, sw, 0).expect("free port");
-        net.attach_host(mb, sw, 1).expect("free port");
-        net.loss_prob = 1.0;
-
-        let mut a = Endpoint::new(ma, mb);
-        let mut b = Endpoint::new(mb, ma);
-        a.max_retries = max_retries;
-        a.send(bytes::Bytes::from_static(b"is anyone there"));
-        let start = SimTime::from_secs(0);
-        drive_until_idle(
-            &mut net,
-            &mut a,
-            &mut b,
-            start,
-            SimDuration::secs(1),
-            start + SimDuration::days(30),
-        );
-        prop_assert!(a.peer_dead());
-        prop_assert_eq!(a.error(), Some(frostlab::netsim::NetError::PeerDead));
-        prop_assert_eq!(a.retransmissions, max_retries as u64);
-        prop_assert!(b.take_delivered().is_empty());
     }
 
     #[test]

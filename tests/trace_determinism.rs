@@ -13,7 +13,7 @@
 
 use frostlab::core::config::{ExperimentConfig, FaultMode};
 use frostlab::core::ScenarioBuilder;
-use frostlab::ensemble::run_traced_sweep;
+use frostlab::ensemble::sweep;
 use frostlab::trace::export::{to_chrome_trace, to_jsonl, to_prometheus};
 use frostlab::trace::TraceConfig;
 
@@ -78,12 +78,16 @@ fn repeated_traced_runs_export_identical_bytes() {
 
 #[test]
 fn ensemble_metrics_report_is_thread_count_invariant() {
-    let stochastic = |seed: u64| ExperimentConfig {
-        fault_mode: FaultMode::Stochastic,
-        ..ExperimentConfig::short(seed, 3)
+    let traced = |seed: u64| {
+        ScenarioBuilder::paper(ExperimentConfig {
+            fault_mode: FaultMode::Stochastic,
+            ..ExperimentConfig::short(seed, 3)
+        })
+        .with_tracing(TraceConfig::metrics_only())
+        .build()
     };
-    let (_, serial) = run_traced_sweep(7, 4, 1, TraceConfig::metrics_only(), stochastic);
-    let (_, parallel) = run_traced_sweep(7, 4, 4, TraceConfig::metrics_only(), stochastic);
+    let metrics = |threads: usize| sweep(7, 4, threads, traced).metrics.expect("traced sweep");
+    let (serial, parallel) = (metrics(1), metrics(4));
     assert_eq!(
         serial.to_json().expect("report serializes"),
         parallel.to_json().expect("report serializes"),
