@@ -16,7 +16,7 @@
 //! benchmark run.
 //!
 //! The campaign-week numbers are trustworthy, not just fast to produce:
-//! `--warmup` probe-free runs (default 1) absorb cold-start effects (page
+//! `--warmup` untimed runs (default 1) absorb cold-start effects (page
 //! faults, lazy relocation, branch-predictor training — the first run of a
 //! week campaign measures 50–100 % high on this workload), then the
 //! per-phase breakdown and `campaign_week_ms` are each the **median of
@@ -86,7 +86,7 @@ struct HostsScaling {
     hosts: u32,
     /// Wall-clock of one simulated day, ms (single run — at 10,000 hosts
     /// a rep loop would dominate the whole report's runtime). The run is
-    /// instrumented (per-phase probes + the observatory armed), so this
+    /// instrumented (per-phase timing + the observatory armed), so this
     /// is the *observed* campaign's wall-clock.
     campaign_day_ms: f64,
     /// The observe phase's share of that day, ms. At 10,000 hosts this is
@@ -244,7 +244,7 @@ fn main() {
          medians) …"
     );
     // Cold-start effects (page faults, lazy relocation, predictor training)
-    // inflate the first week campaign by 50–100 %, so warm up probe-free
+    // inflate the first week campaign by 50–100 %, so warm up untimed
     // first; an early version of this tool let the instrumented run double
     // as the warmup and its breakdown read roughly 2× high.
     for _ in 0..warmup {
@@ -253,10 +253,10 @@ fn main() {
             .run();
         std::hint::black_box(results.workload.total_runs());
     }
-    // Instrumented reps: every phase wrapped in a timing probe yields the
-    // per-phase breakdown (median per phase). The timed reps below stay
-    // probe-free so `campaign_week_ms` is comparable with pre-pipeline
-    // baselines.
+    // Instrumented reps: `run_with_timings` meters every phase and yields
+    // the per-phase breakdown (median per phase). The timed reps below use
+    // the untimed `run` so `campaign_week_ms` is comparable with
+    // pre-pipeline baselines.
     // The observatory is armed for the instrumented reps (only), so the
     // `observe` phase shows up in the breakdown and can carry its own
     // `phase_budget_ms` entry; the timed reps stay bare.
@@ -264,7 +264,6 @@ fn main() {
     for _ in 0..reps {
         let (results, timings) = ScenarioBuilder::paper(ExperimentConfig::short(1, 7))
             .with_observability(ObsConfig::default())
-            .with_timing()
             .build()
             .run_with_timings();
         std::hint::black_box(results.workload.total_runs());
@@ -320,7 +319,6 @@ fn main() {
             let t = Instant::now();
             let (results, timings) = ScenarioBuilder::paper(cfg)
                 .with_observability(ObsConfig::default())
-                .with_timing()
                 .build()
                 .run_with_timings();
             HostsScaling {

@@ -27,15 +27,15 @@
 //!   (weather → enclosure-thermal → logger-poll → script → host-step →
 //!   collection → power-integration), each a [`phases::TickPhase`];
 //! * [`scenario`] — [`scenario::ScenarioBuilder`], which composes phases
-//!   into runnable campaigns (insert/replace/wrap, per-phase timing);
+//!   into runnable campaigns (insert/replace/wrap), and
+//!   [`scenario::Scenario`], whose tick loop times and traces each phase;
 //!   supports **scripted** mode (replays the history; figures match the
 //!   paper) and **stochastic** mode (all faults drawn from the hazard
 //!   models; for Monte-Carlo and sensitivity studies);
 //! * [`spec`] — declarative, serializable scenario/matrix specs with
 //!   stable content hashes: the job currency of `frostlab-farm`'s durable
 //!   work queue and result cache;
-//! * [`observe`] — tracing instrumentation for the pipeline: per-phase
-//!   span probes and the per-tick sampler ([`observe::ObservePhase`])
+//! * [`observe`] — the per-tick sampler ([`observe::ObservePhase`])
 //!   installed by [`scenario::ScenarioBuilder::with_tracing`] and
 //!   [`scenario::ScenarioBuilder::with_observability`];
 //! * [`prototype`] — the plastic-box weekend (T5);

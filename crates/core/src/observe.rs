@@ -1,23 +1,18 @@
-//! Observability instrumentation for the phase pipeline.
+//! The pipeline's sampling phase.
 //!
-//! Two pieces, installed by the scenario builder:
-//!
-//! * [`TracePhaseProbe`] decorates each phase and emits one sim-time span
-//!   per step on a `phase/<name>` track
-//!   ([`crate::scenario::ScenarioBuilder::with_tracing`]);
-//! * [`ObservePhase`] is the pipeline's one sampling phase, appended by
-//!   both [`crate::scenario::ScenarioBuilder::with_tracing`] and
-//!   [`crate::scenario::ScenarioBuilder::with_observability`]. In one
-//!   O(hosts) pass per tick it samples the campaign state into the
-//!   tracer's metrics registry (gauges at tick boundaries, counters by
-//!   delta), drains the append-only ledgers — collector history, healed
-//!   gaps, fault events, watchdog incidents — into trace events via
-//!   cursors, and, when the observatory is armed, feeds the dimensional
-//!   rollups, the SLO burn-rate engine and the incident flight recorder
-//!   in [`frostlab_obs::ObsState`]. SLO fires/resolves are mirrored into
-//!   the watchdog ledger as [`IncidentKind::SloBreach`] incidents, so the
-//!   alert timeline rides the same deterministic bookkeeping as every
-//!   other incident.
+//! [`ObservePhase`] is appended by both
+//! [`crate::scenario::ScenarioBuilder::with_tracing`] and
+//! [`crate::scenario::ScenarioBuilder::with_observability`]. In one
+//! O(hosts) pass per tick it samples the campaign state into the tracer's
+//! metrics registry (gauges at tick boundaries, counters by delta), drains
+//! the append-only ledgers — collector history, healed gaps, fault events,
+//! watchdog incidents — into trace events via cursors, and, when the
+//! observatory is armed, feeds the dimensional rollups, the SLO burn-rate
+//! engine and the incident flight recorder in [`frostlab_obs::ObsState`].
+//! SLO fires/resolves are mirrored into the watchdog ledger as
+//! [`IncidentKind::SloBreach`] incidents, so the alert timeline rides the
+//! same deterministic bookkeeping as every other incident. The per-phase
+//! `phase/<name>` spans come from the scenario's tick loop, not from here.
 //!
 //! Everything here reads state the campaign already maintains; nothing
 //! draws randomness or wall-clock, so arming tracing or observability
@@ -32,47 +27,8 @@ use frostlab_trace::FieldValue;
 use frostlab_workload::stats::Placement;
 
 use crate::context::CampaignCtx;
-use crate::phases::{PhaseTiming, TickPhase};
+use crate::phases::TickPhase;
 use crate::watchdog::IncidentKind;
-
-/// Decorates a phase with a per-step sim-time span on `phase/<name>`.
-///
-/// The span covers the tick being simulated (`[now, now + tick]`), so the
-/// Perfetto view shows the seven substrate rows stepping in lockstep.
-/// `name()` and `timing()` delegate to the wrapped phase: builder edits
-/// still address it, and a [`crate::phases::TimingProbe`] composes in
-/// either nesting order.
-pub struct TracePhaseProbe {
-    inner: Box<dyn TickPhase>,
-    track: String,
-}
-
-impl TracePhaseProbe {
-    /// Trace `inner`'s steps.
-    pub fn new(inner: Box<dyn TickPhase>) -> TracePhaseProbe {
-        let track = format!("phase/{}", inner.name());
-        TracePhaseProbe { inner, track }
-    }
-}
-
-impl TickPhase for TracePhaseProbe {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn step(&mut self, ctx: &mut CampaignCtx) {
-        self.inner.step(ctx);
-        if ctx.tracer.phase_spans_enabled() {
-            let start = ctx.now;
-            let end = ctx.now + ctx.cfg.tick;
-            ctx.tracer.span(&self.track, "step", start, end, &[]);
-        }
-    }
-
-    fn timing(&self) -> Option<PhaseTiming> {
-        self.inner.timing()
-    }
-}
 
 /// The pipeline's sampling phase: one O(hosts) fleet scan per tick, after
 /// the substrate phases have stepped.
@@ -95,6 +51,7 @@ impl TickPhase for TracePhaseProbe {
 /// [`crate::scenario::ScenarioBuilder::with_observability`], whichever
 /// comes first. Inert (one branch) when neither the tracer nor the
 /// observatory is armed.
+#[derive(Default)]
 pub struct ObservePhase {
     collection_cursor: usize,
     gap_cursor: usize,
@@ -114,21 +71,7 @@ pub struct ObservePhase {
 impl ObservePhase {
     /// A fresh observer (all cursors at zero, caches unbuilt).
     pub fn new() -> ObservePhase {
-        ObservePhase {
-            collection_cursor: 0,
-            gap_cursor: 0,
-            fault_cursor: 0,
-            incident_cursor: 0,
-            resolve_emitted: Vec::new(),
-            runs_seen: 0,
-            hash_errors_seen: 0,
-            registered: false,
-            caches: None,
-            slo_runs_seen: 0,
-            slo_bad_seen: 0,
-            resets_seen: 0,
-            flight_incident_cursor: 0,
-        }
+        ObservePhase::default()
     }
 
     /// Sample one tick into the tracer. `hosts_up` is the
@@ -376,12 +319,6 @@ fn placement_bucket(p: Placement) -> u8 {
     }
 }
 
-impl Default for ObservePhase {
-    fn default() -> Self {
-        ObservePhase::new()
-    }
-}
-
 impl TickPhase for ObservePhase {
     fn name(&self) -> &str {
         "observe"
@@ -504,9 +441,7 @@ fn dew_margin_min_c(ctx: &CampaignCtx) -> f64 {
 mod tests {
     use super::*;
     use crate::config::ExperimentConfig;
-    use crate::phases::WeatherPhase;
     use frostlab_obs::{ObsConfig, ObsState};
-    use frostlab_simkern::time::SimDuration;
     use frostlab_trace::{TraceConfig, Tracer};
 
     #[test]
@@ -524,28 +459,6 @@ mod tests {
         );
         assert!(trace.metrics.gauge("fleet.hosts_up").is_some());
         assert!(trace.metrics.gauge("collector.gaps_open").is_some());
-    }
-
-    #[test]
-    fn phase_probe_emits_one_span_per_step_and_keeps_the_name() {
-        let cfg = ExperimentConfig::short(1, 2);
-        let start = cfg.start;
-        let mut ctx = CampaignCtx::new(cfg);
-        ctx.tracer = Tracer::enabled(TraceConfig::default(), start);
-        let mut probe = TracePhaseProbe::new(Box::new(WeatherPhase::new()));
-        assert_eq!(probe.name(), "weather");
-        for _ in 0..3 {
-            probe.step(&mut ctx);
-            ctx.now += SimDuration::minutes(1);
-        }
-        let trace = ctx.tracer.finish().expect("enabled");
-        let spans: Vec<_> = trace
-            .events
-            .iter()
-            .filter(|e| e.track == "phase/weather")
-            .collect();
-        assert_eq!(spans.len(), 3);
-        assert!(spans.iter().all(|e| e.end.is_some()));
     }
 
     #[test]

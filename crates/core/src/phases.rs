@@ -21,8 +21,8 @@
 //! Phases communicate only through [`CampaignCtx`]; the
 //! [`crate::scenario::ScenarioBuilder`] composes them (and anything
 //! user-written that implements [`TickPhase`]) into a runnable scenario.
-
-use std::time::Instant;
+//! Phases carry no instrumentation: the scenario's tick loop times and
+//! traces each `step` (see [`crate::scenario`]).
 
 use frostlab_faults::repair::RepairAction;
 use frostlab_faults::types::{FaultEvent, FaultKind, HostId};
@@ -48,73 +48,17 @@ pub trait TickPhase {
 
     /// Advance this substrate by one tick at `ctx.now`.
     fn step(&mut self, ctx: &mut CampaignCtx);
-
-    /// Wall-clock accounting, if this phase collects any (see
-    /// [`TimingProbe`]). Stock phases return `None`.
-    fn timing(&self) -> Option<PhaseTiming> {
-        None
-    }
 }
 
 /// Accumulated wall-clock cost of one phase across a whole campaign.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PhaseTiming {
-    /// The wrapped phase's name.
+    /// The phase's name.
     pub phase: String,
     /// Total wall-clock spent inside `step`, milliseconds.
     pub total_ms: f64,
     /// Number of `step` invocations.
     pub calls: u64,
-}
-
-/// Wraps any phase and meters the wall-clock its `step` consumes.
-///
-/// Installed across the whole pipeline by
-/// [`crate::scenario::ScenarioBuilder::with_timing`], or around a single
-/// phase via `wrap`.
-pub struct TimingProbe {
-    inner: Box<dyn TickPhase>,
-    total: std::time::Duration,
-    calls: u64,
-}
-
-impl TimingProbe {
-    /// Meter `inner`.
-    pub fn new(inner: Box<dyn TickPhase>) -> TimingProbe {
-        TimingProbe {
-            inner,
-            total: std::time::Duration::ZERO,
-            calls: 0,
-        }
-    }
-}
-
-impl TickPhase for TimingProbe {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn step(&mut self, ctx: &mut CampaignCtx) {
-        let started = Instant::now();
-        self.inner.step(ctx);
-        self.total += started.elapsed();
-        self.calls += 1;
-    }
-
-    fn timing(&self) -> Option<PhaseTiming> {
-        // If the wrapped phase already meters itself (a nested probe, or a
-        // tracing probe around one), its numbers are authoritative: the
-        // innermost probe excludes every wrapper's own overhead, and
-        // reporting both would double-count the phase under one name.
-        if let Some(inner) = self.inner.timing() {
-            return Some(inner);
-        }
-        Some(PhaseTiming {
-            phase: self.inner.name().to_string(),
-            total_ms: self.total.as_secs_f64() * 1e3,
-            calls: self.calls,
-        })
-    }
 }
 
 /// Ticks per weather batch: one simulated day on the model's 60-s grid,
@@ -810,43 +754,5 @@ mod tests {
         phase.step(&mut ctx);
         // No panic, event consumed: a second step must not re-fire it.
         phase.step(&mut ctx);
-    }
-
-    #[test]
-    fn timing_probe_counts_calls_and_preserves_name() {
-        let cfg = ExperimentConfig::short(1, 3);
-        let mut ctx = ctx_at(cfg);
-        let mut probe = TimingProbe::new(Box::new(WeatherPhase::new()));
-        assert_eq!(probe.name(), "weather");
-        for _ in 0..5 {
-            probe.step(&mut ctx);
-            ctx.now += SimDuration::minutes(1);
-        }
-        let timing = probe.timing().expect("probe measures");
-        assert_eq!(timing.phase, "weather");
-        assert_eq!(timing.calls, 5);
-        assert!(timing.total_ms >= 0.0);
-    }
-
-    #[test]
-    fn stock_phases_report_no_timing() {
-        assert!(WeatherPhase::new().timing().is_none());
-        assert!(PowerIntegrationPhase::new().timing().is_none());
-    }
-
-    #[test]
-    fn nested_timing_probes_keep_the_inner_name_and_do_not_double_count() {
-        let cfg = ExperimentConfig::short(1, 3);
-        let mut ctx = ctx_at(cfg);
-        let inner = TimingProbe::new(Box::new(WeatherPhase::new()));
-        let mut outer = TimingProbe::new(Box::new(inner));
-        assert_eq!(outer.name(), "weather");
-        for _ in 0..3 {
-            outer.step(&mut ctx);
-            ctx.now += SimDuration::minutes(1);
-        }
-        let timing = outer.timing().expect("probe measures");
-        assert_eq!(timing.phase, "weather", "inner phase name survives");
-        assert_eq!(timing.calls, 3, "one count per step, not two");
     }
 }

@@ -11,7 +11,6 @@
 //!
 //! // The paper's campaign, with per-phase wall-clock metering.
 //! let (results, timings) = ScenarioBuilder::paper(ExperimentConfig::paper_scripted(42))
-//!     .with_timing()
 //!     .build()
 //!     .run_with_timings();
 //! println!("runs: {}", results.workload.total_runs());
@@ -23,16 +22,22 @@
 //! The stock phase names, in pipeline order: `weather`,
 //! `enclosure-thermal`, `logger-poll`, `script`, `host-step`,
 //! `collection`, `power-integration`.
+//!
+//! Phases carry no instrumentation: the [`Scenario`] tick loop times each
+//! `step` under [`Scenario::run_with_timings`] and emits the
+//! `phase/<name>` sim-time spans when the tracer is armed.
+
+use std::time::{Duration, Instant};
 
 use frostlab_obs::{ObsConfig, ObsState};
 use frostlab_trace::{TraceConfig, Tracer};
 
 use crate::config::ExperimentConfig;
 use crate::context::CampaignCtx;
-use crate::observe::{ObservePhase, TracePhaseProbe};
+use crate::observe::ObservePhase;
 use crate::phases::{
     CollectionPhase, EnclosureThermalPhase, HostStepPhase, LoggerPollPhase, PhaseTiming,
-    PowerIntegrationPhase, ScriptPhase, TickPhase, TimingProbe, WeatherPhase,
+    PowerIntegrationPhase, ScriptPhase, TickPhase, WeatherPhase,
 };
 use crate::results::ExperimentResults;
 
@@ -130,7 +135,8 @@ impl ScenarioBuilder {
     }
 
     /// Wrap the named phase in a decorator (the wrapper decides whether
-    /// and how to delegate — timing probes, conditional skips, tracing).
+    /// and how to delegate — conditional skips, fault injection, outside
+    /// instrumentation). The wrapper keeps the phase's pipeline slot.
     ///
     /// # Panics
     /// Panics if no phase has that name.
@@ -147,55 +153,18 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Wrap *every* phase in a [`TimingProbe`] so
-    /// [`Scenario::run_with_timings`] can report the per-phase wall-clock
-    /// breakdown.
+    /// Arm the campaign's tracer and append an [`ObservePhase`] (unless one
+    /// is already present) to sample metrics at each tick boundary. While
+    /// the tracer records phase spans, the tick loop gives every other
+    /// phase — including ones added after this call — one `phase/<name>`
+    /// span per step. The finished run carries the frozen trace in
+    /// [`ExperimentResults::trace`].
     ///
-    /// Phases that already report a timing (e.g. one manually wrapped via
-    /// [`ScenarioBuilder::wrap`]) are left alone, so the phase is metered
-    /// exactly once under its own name.
-    pub fn with_timing(mut self) -> ScenarioBuilder {
-        self.phases = self
-            .phases
-            .into_iter()
-            .map(|p| {
-                if p.timing().is_some() {
-                    p
-                } else {
-                    Box::new(TimingProbe::new(p)) as Box<dyn TickPhase>
-                }
-            })
-            .collect();
-        self
-    }
-
-    /// Arm the campaign's tracer and instrument the pipeline: every phase
-    /// currently in the pipeline is wrapped in a [`TracePhaseProbe`] and an
-    /// [`ObservePhase`] is appended (unless one is already present) to
-    /// sample metrics at each tick boundary. The finished run carries the
-    /// frozen trace in [`ExperimentResults::trace`].
-    ///
-    /// Call this *after* structural edits so late-added phases are probed
-    /// too. Tracing draws no randomness and no wall-clock, so results stay
+    /// Tracing draws no randomness and no wall-clock, so results stay
     /// byte-identical to an untraced run and the exported trace is
     /// byte-identical across runs and ensemble thread counts.
     pub fn with_tracing(mut self, cfg: TraceConfig) -> ScenarioBuilder {
         self.ctx.tracer = Tracer::enabled(cfg, self.ctx.cfg.start);
-        // The sampling phase is never span-probed itself — it reads
-        // state, it isn't substrate work — which also keeps the trace
-        // byte-identical whichever order tracing and observability are
-        // armed in.
-        self.phases = self
-            .phases
-            .into_iter()
-            .map(|p| {
-                if p.name() == "observe" {
-                    p
-                } else {
-                    Box::new(TracePhaseProbe::new(p)) as Box<dyn TickPhase>
-                }
-            })
-            .collect();
         self.push_observe_phase();
         self
     }
@@ -206,11 +175,10 @@ impl ScenarioBuilder {
     /// pipeline unless tracing already put one there, and the finished
     /// run carries the frozen record in [`ExperimentResults::obs`].
     ///
-    /// Composes with [`ScenarioBuilder::with_tracing`] in either order;
-    /// call it *before* [`ScenarioBuilder::with_timing`] so the observe
-    /// phase is metered too. Like tracing, observability draws no
-    /// randomness and no wall-clock, so the campaign's physics and every
-    /// golden artifact stay byte-identical.
+    /// Composes with [`ScenarioBuilder::with_tracing`] in either order.
+    /// Like tracing, observability draws no randomness and no wall-clock,
+    /// so the campaign's physics and every golden artifact stay
+    /// byte-identical.
     pub fn with_observability(mut self, cfg: ObsConfig) -> ScenarioBuilder {
         self.ctx.obs = Some(Box::new(ObsState::new(&cfg, self.ctx.cfg.tick)));
         self.push_observe_phase();
@@ -253,30 +221,77 @@ pub struct Scenario {
 
 impl Scenario {
     /// Run the campaign to completion.
-    pub fn run(self) -> ExperimentResults {
-        self.run_with_timings().0
+    pub fn run(mut self) -> ExperimentResults {
+        self.tick_loop(|_, phase, ctx| phase.step(ctx));
+        self.ctx.finish()
     }
 
-    /// Run the campaign and also return whatever per-phase wall-clock
-    /// accounting the pipeline collected (empty unless phases were wrapped
-    /// in [`TimingProbe`]s, e.g. via [`ScenarioBuilder::with_timing`]).
+    /// Run the campaign and also return each phase's wall-clock cost, in
+    /// pipeline order. Only this entry point reads the clock; [`run`]
+    /// steps the same loop untimed.
+    ///
+    /// [`run`]: Scenario::run
     pub fn run_with_timings(mut self) -> (ExperimentResults, Vec<PhaseTiming>) {
+        let mut spent = vec![Duration::ZERO; self.phases.len()];
+        let calls = self.tick_loop(|i, phase, ctx| {
+            let started = Instant::now();
+            phase.step(ctx);
+            spent[i] += started.elapsed();
+        });
+        let timings = self
+            .phases
+            .iter()
+            .zip(spent)
+            .map(|(p, spent)| PhaseTiming {
+                phase: p.name().to_string(),
+                total_ms: spent.as_secs_f64() * 1e3,
+                calls,
+            })
+            .collect();
+        (self.ctx.finish(), timings)
+    }
+
+    /// Step every phase once per tick through `step(index, phase, ctx)`
+    /// until the window closes; return the number of ticks. After each
+    /// step of a phase other than `observe` (a sampler, not a substrate),
+    /// emit a `phase/<name>` span over `[now, now + tick]` whenever the
+    /// tracer records phase spans.
+    fn tick_loop(
+        &mut self,
+        mut step: impl FnMut(usize, &mut dyn TickPhase, &mut CampaignCtx),
+    ) -> u64 {
+        let tracks: Vec<Option<String>> = self
+            .phases
+            .iter()
+            .map(|p| (p.name() != "observe").then(|| format!("phase/{}", p.name())))
+            .collect();
         let tick = self.ctx.cfg.tick;
+        let mut ticks = 0;
         while self.ctx.now <= self.ctx.cfg.end {
-            for phase in &mut self.phases {
-                phase.step(&mut self.ctx);
+            for (i, (phase, track)) in self.phases.iter_mut().zip(&tracks).enumerate() {
+                step(i, phase.as_mut(), &mut self.ctx);
+                if let Some(track) = track {
+                    if self.ctx.tracer.phase_spans_enabled() {
+                        let start = self.ctx.now;
+                        self.ctx
+                            .tracer
+                            .span(track, "step", start, start + tick, &[]);
+                    }
+                }
             }
             self.ctx.now += tick;
+            ticks += 1;
         }
-        let timings = self.phases.iter().filter_map(|p| p.timing()).collect();
-        (self.ctx.finish(), timings)
+        ticks
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
-    use crate::phases::PhaseTiming;
 
     const STOCK: [&str; 7] = [
         "weather",
@@ -355,13 +370,31 @@ mod tests {
         let _ = ScenarioBuilder::paper(ExperimentConfig::short(1, 3)).remove("no-such-phase");
     }
 
+    /// Delegates to the phase it wraps and counts the steps it forwards.
+    struct CountingWrapper(Box<dyn TickPhase>, Rc<Cell<u64>>);
+
+    impl TickPhase for CountingWrapper {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn step(&mut self, ctx: &mut CampaignCtx) {
+            self.1.set(self.1.get() + 1);
+            self.0.step(ctx);
+        }
+    }
+
     #[test]
-    fn with_timing_meters_every_phase_without_changing_results() {
+    fn run_with_timings_meters_every_phase_once_without_changing_results() {
         let plain = ScenarioBuilder::paper(ExperimentConfig::short(3, 5))
             .build()
             .run();
+        // A wrapped phase keeps its slot and is metered once, under its name.
+        let forwarded = Rc::new(Cell::new(0));
+        let counter = forwarded.clone();
         let (timed, timings) = ScenarioBuilder::paper(ExperimentConfig::short(3, 5))
-            .with_timing()
+            .wrap("collection", |inner| {
+                Box::new(CountingWrapper(inner, counter))
+            })
             .build()
             .run_with_timings();
         assert_eq!(plain.workload.total_runs(), timed.workload.total_runs());
@@ -370,35 +403,7 @@ mod tests {
         assert_eq!(names, STOCK);
         // 5 days of 1-minute ticks, inclusive window.
         let expected_ticks = 5 * 24 * 60 + 1;
-        for t in &timings {
-            assert_eq!(t.calls, expected_ticks, "{}", t.phase);
-        }
-    }
-
-    #[test]
-    fn wrap_decorates_a_single_phase() {
-        let (_, timings) = ScenarioBuilder::paper(ExperimentConfig::short(4, 2))
-            .wrap("collection", |inner| Box::new(TimingProbe::new(inner)))
-            .build()
-            .run_with_timings();
-        assert_eq!(timings.len(), 1);
-        assert_eq!(timings[0].phase, "collection");
-        assert!(timings[0].calls > 0);
-    }
-
-    #[test]
-    fn with_timing_after_manual_wrap_does_not_double_count() {
-        // The collection phase is already probed by hand; `with_timing`
-        // must leave it alone instead of nesting a second probe that
-        // would report the phase twice (or double its wall-clock).
-        let (_, timings) = ScenarioBuilder::paper(ExperimentConfig::short(4, 2))
-            .wrap("collection", |inner| Box::new(TimingProbe::new(inner)))
-            .with_timing()
-            .build()
-            .run_with_timings();
-        let names: Vec<&str> = timings.iter().map(|t| t.phase.as_str()).collect();
-        assert_eq!(names, STOCK, "each phase metered exactly once");
-        let expected_ticks = 2 * 24 * 60 + 1;
+        assert_eq!(forwarded.get(), expected_ticks);
         for t in &timings {
             assert_eq!(t.calls, expected_ticks, "{}", t.phase);
         }
@@ -431,21 +436,27 @@ mod tests {
     }
 
     #[test]
-    fn tracing_composes_with_timing() {
+    fn traced_run_spans_every_phase_but_observe_even_when_added_late() {
         use frostlab_trace::TraceConfig;
+        let late = CountingPhase {
+            name: "late",
+            steps: 0,
+        };
         let (results, timings) = ScenarioBuilder::paper(ExperimentConfig::short(5, 1))
             .with_tracing(TraceConfig::default())
-            .with_timing()
+            .insert_after("power-integration", Box::new(late))
             .build()
             .run_with_timings();
-        assert!(results.trace.is_some());
-        // The observe phase is part of the pipeline now, so it is metered
-        // too; the seven substrate phases keep their own names through
-        // the nested probes.
+        // Every phase is metered, the sampler included.
         let names: Vec<&str> = timings.iter().map(|t| t.phase.as_str()).collect();
-        let mut expected: Vec<&str> = STOCK.to_vec();
-        expected.push("observe");
-        assert_eq!(names, expected);
+        assert_eq!(names, [&STOCK[..], &["late", "observe"]].concat());
+        let trace = results.trace.expect("tracing was armed");
+        for t in &timings {
+            let track = format!("phase/{}", t.phase);
+            let spans = trace.events.iter().filter(|e| e.track == track).count();
+            let want = if t.phase == "observe" { 0 } else { t.calls };
+            assert_eq!(spans as u64, want, "{track}");
+        }
     }
 
     #[test]

@@ -36,6 +36,17 @@ pub enum SpecError {
     UnknownClimate(String),
     /// The campaign window length is out of range.
     InvalidDays(i64),
+    /// The fleet is larger than [`MAX_HOSTS`].
+    TooManyHosts(u32),
+    /// `scenarios × seeds` exceeds [`MAX_MATRIX_JOBS`] (or overflows).
+    MatrixTooLarge {
+        /// Length of the scenario axis.
+        scenarios: usize,
+        /// Seeds per scenario.
+        seeds: u64,
+    },
+    /// The seed range starting at this seed runs past `u64::MAX`.
+    SeedRangeOverflow(u64),
 }
 
 impl std::fmt::Display for SpecError {
@@ -54,11 +65,31 @@ impl std::fmt::Display for SpecError {
                     "invalid campaign length {d} days (want 0 = full, or 1..=366)"
                 )
             }
+            SpecError::TooManyHosts(n) => {
+                write!(f, "fleet of {n} hosts exceeds the {MAX_HOSTS}-host cap")
+            }
+            SpecError::MatrixTooLarge { scenarios, seeds } => write!(
+                f,
+                "matrix of {scenarios} scenarios x {seeds} seeds exceeds the \
+                 {MAX_MATRIX_JOBS}-campaign cap"
+            ),
+            SpecError::SeedRangeOverflow(start) => {
+                write!(f, "seed range from {start} runs past {}", u64::MAX)
+            }
         }
     }
 }
 
 impl std::error::Error for SpecError {}
+
+/// Largest fleet a spec may ask for: the 10,000-host fleet the scale
+/// tests, CI gates and benchmark run.
+pub const MAX_HOSTS: u32 = 10_000;
+
+/// Most campaigns one [`MatrixSpec`] may expand to. Far above any matrix
+/// the tests, CI gates or benchmark submit (a few dozen), and low enough
+/// that expanding an accepted matrix can never exhaust memory.
+pub const MAX_MATRIX_JOBS: u64 = 10_000;
 
 /// Climate preset names resolvable by [`climate_preset`].
 pub const CLIMATE_PRESETS: [&str; 3] = ["helsinki", "new-mexico", "north-east-england"];
@@ -145,6 +176,9 @@ impl ScenarioSpec {
     pub fn to_config(&self, seed: u64) -> Result<ExperimentConfig, SpecError> {
         let climate = climate_preset(&self.climate)
             .ok_or_else(|| SpecError::UnknownClimate(self.climate.clone()))?;
+        if self.hosts > MAX_HOSTS {
+            return Err(SpecError::TooManyHosts(self.hosts));
+        }
         let base = match self.days {
             0 => ExperimentConfig::paper_stochastic(seed),
             d @ 1..=366 => ExperimentConfig {
@@ -273,14 +307,16 @@ pub struct MatrixSpec {
 }
 
 impl MatrixSpec {
-    /// Total jobs in the matrix.
+    /// Total jobs in the matrix, saturating at `u64::MAX` (which
+    /// [`MatrixSpec::validate`] rejects).
     pub fn jobs(&self) -> u64 {
-        self.scenarios.len() as u64 * self.seeds
+        (self.scenarios.len() as u64).saturating_mul(self.seeds)
     }
 
     /// Expand to the ordered job list: **scenario-major, seed-minor** —
     /// the fold order both the farm's merge and the single-process
     /// ensemble comparator use, so their outputs can be byte-identical.
+    /// Call on a matrix that passed [`MatrixSpec::validate`].
     pub fn expand(&self) -> Vec<JobSpec> {
         let mut jobs = Vec::with_capacity(self.jobs() as usize);
         for scenario in &self.scenarios {
@@ -294,10 +330,21 @@ impl MatrixSpec {
         jobs
     }
 
-    /// Validate every scenario in the matrix without running anything.
+    /// Validate every scenario in the matrix, its size and its seed range
+    /// without running anything. A valid matrix expands without overflow
+    /// to at most [`MAX_MATRIX_JOBS`] jobs.
     pub fn validate(&self) -> Result<(), SpecError> {
         for s in &self.scenarios {
             s.to_config(self.seed_start)?;
+        }
+        if self.jobs() > MAX_MATRIX_JOBS {
+            return Err(SpecError::MatrixTooLarge {
+                scenarios: self.scenarios.len(),
+                seeds: self.seeds,
+            });
+        }
+        if self.seeds > 0 && self.seed_start.checked_add(self.seeds - 1).is_none() {
+            return Err(SpecError::SeedRangeOverflow(self.seed_start));
         }
         Ok(())
     }
@@ -400,6 +447,30 @@ mod tests {
             ScenarioSpec::new("x", 400, "helsinki").to_config(1).err(),
             Some(SpecError::InvalidDays(400))
         );
+    }
+
+    #[test]
+    fn fleet_size_matrix_size_and_seed_range_are_bounded() {
+        let mut m = matrix();
+        m.scenarios[1].hosts = MAX_HOSTS + 1;
+        assert_eq!(m.validate(), Err(SpecError::TooManyHosts(MAX_HOSTS + 1)));
+        m.scenarios[1].hosts = MAX_HOSTS;
+        let too_large = |seeds| {
+            Err(SpecError::MatrixTooLarge {
+                scenarios: 2,
+                seeds,
+            })
+        };
+        // Two scenarios × (u64::MAX/2 + 1) seeds overflows a u64.
+        m.seeds = u64::MAX / 2 + 1;
+        assert_eq!(m.validate(), too_large(m.seeds));
+        m.seeds = MAX_MATRIX_JOBS / 2 + 1;
+        assert_eq!(m.validate(), too_large(m.seeds));
+        (m.seed_start, m.seeds) = (u64::MAX, 2);
+        assert_eq!(m.validate(), Err(SpecError::SeedRangeOverflow(u64::MAX)));
+        m.seed_start = u64::MAX - 1;
+        assert_eq!(m.validate(), Ok(()));
+        assert_eq!(m.expand().last().map(|j| j.seed), Some(u64::MAX));
     }
 
     #[test]
@@ -529,5 +600,30 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// `|`-separated fragments the JSON fuzzer splices: structure, the
+    /// matrix's keys, extreme numbers, escapes.
+    const TOKENS: &str = concat!(
+        r#"{|}|[|]|:|,|"| |"scenarios"|"seeds"|"seed_start"|"name"|"days"|"#,
+        r#""climate"|"hosts"|"helsinki"|true|null|0|-1|18446744073709551616|"#,
+        r#"4294967296|1e999|\u|\ud800|\\|é"#
+    );
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Any spliced text: `from_json` then `validate` return a value or
+        /// a typed error, and never panic.
+        #[test]
+        fn arbitrary_text_never_panics_the_spec_path(
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..64)
+        ) {
+            let tokens: Vec<&str> = TOKENS.split('|').collect();
+            let text: String = picks.iter().map(|&i| tokens[i % tokens.len()]).collect();
+            if let Ok(m) = MatrixSpec::from_json(&text) {
+                let _ = m.validate();
+            }
+        }
     }
 }

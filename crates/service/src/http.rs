@@ -1,18 +1,19 @@
 //! Minimal HTTP/1.1 framing — just enough wire protocol for `frostlabd`.
 //!
-//! The build container has no async runtime or HTTP crate, so the daemon
-//! carries its own ~200-line request reader and response writer over
-//! blocking `TcpStream`s. The subset is deliberate: one request per
-//! connection (`Connection: close`), `Content-Length` bodies only (no
-//! chunked transfer), capped head and body sizes so a hostile or broken
-//! client can never balloon memory, and socket read/write timeouts set by
-//! the server so a stalled peer can never wedge a connection worker.
+//! The workspace builds offline with no async runtime or HTTP crate, so
+//! the daemon carries its own ~200-line request reader and response
+//! writer, generic over `Read`/`Write`: the server passes blocking
+//! `TcpStream`s, the tests pass byte slices. The subset is deliberate:
+//! one request per connection (`Connection: close`), `Content-Length`
+//! bodies only (no chunked transfer), capped head and body sizes so a
+//! hostile or broken client can never balloon memory, and socket
+//! read/write timeouts set by the server so a stalled peer can never
+//! wedge a connection worker.
 //!
 //! Nothing here knows about routes or JSON — [`crate::server`] layers the
 //! API on top.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -100,7 +101,7 @@ impl Request {
 ///
 /// Returns `Ok(None)` when the peer closed the connection before sending
 /// a single byte (a bare keep-alive probe, not an error).
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Option<Request>, HttpError> {
+pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Option<Request>, HttpError> {
     // Accumulate until the blank line that ends the head.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
@@ -250,7 +251,7 @@ impl Response {
 
     /// Serialize head + body to the wire. One response per connection:
     /// always `Connection: close`.
-    pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
+    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
             self.status,
@@ -271,22 +272,10 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
 
-    /// Push raw bytes through a real socket pair and parse them.
+    /// Parse raw bytes as if a peer sent them and then closed its half.
     fn parse(raw: &[u8], max_body: usize) -> Result<Option<Request>, HttpError> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let raw = raw.to_vec();
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(&raw).expect("write");
-            // Close the write half so short bodies hit eof.
-        });
-        let (mut conn, _) = listener.accept().expect("accept");
-        let parsed = read_request(&mut conn, max_body);
-        writer.join().expect("writer");
-        parsed
+        read_request(&mut &raw[..], max_body)
     }
 
     #[test]
@@ -350,23 +339,42 @@ mod tests {
 
     #[test]
     fn response_serializes_with_extra_headers() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let writer = std::thread::spawn(move || {
-            let (mut conn, _) = listener.accept().expect("accept");
-            Response::new(429, "application/json", "{}")
-                .with_header("retry-after", "3".to_string())
-                .write_to(&mut conn)
-                .expect("write");
-        });
-        let mut s = TcpStream::connect(addr).expect("connect");
-        let mut text = String::new();
-        s.read_to_string(&mut text).expect("read");
-        writer.join().expect("writer");
+        let mut wire = Vec::new();
+        Response::new(429, "application/json", "{}")
+            .with_header("retry-after", "3".to_string())
+            .write_to(&mut wire)
+            .expect("write");
+        let text = String::from_utf8(wire).expect("utf-8");
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("retry-after: 3\r\n"));
         assert!(text.contains("connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// `|`-separated request fragments the fuzzer splices.
+    const TOKENS: &[u8] = b"GET |POST |/v1/scenarios| HTTP/1.1| HTTP/1.0|\r\n|\r\n\r\n|\
+        Content-Length: |Transfer-Encoding: chunked|18446744073709551616|7|-1|:| |{}|\xff\xfe";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes, raw and after spliced request fragments, parse
+        /// to a request or a typed error — never a panic — and an accepted
+        /// body never exceeds the cap.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_reader(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..256),
+            picks in proptest::collection::vec(proptest::prelude::any::<usize>(), 0..24),
+        ) {
+            let tokens: Vec<&[u8]> = TOKENS.split(|&b| b == b'|').collect();
+            let mut spliced: Vec<u8> = picks.iter().flat_map(|&i| tokens[i % tokens.len()]).copied().collect();
+            spliced.extend_from_slice(&raw);
+            for input in [&raw[..], &spliced[..]] {
+                if let Ok(Some(req)) = parse(input, 16) {
+                    proptest::prop_assert!(req.body.len() <= 16);
+                }
+            }
+        }
     }
 }

@@ -289,6 +289,29 @@ fn error_paths_are_typed_and_metrics_scrape_as_prometheus() {
     assert_eq!(r.status, 400);
     assert!(r.text().contains("invalid-spec"), "{}", r.text());
 
+    // Unbounded matrices: scenarios × seeds overflowing u64, a fleet past
+    // the host cap, and nesting deep enough to overflow a recursive
+    // parser's stack. Each is a typed 400, and the server keeps serving.
+    let mut huge = matrix("api-huge", 1, u64::MAX / 2 + 1);
+    huge.scenarios
+        .push(ScenarioSpec::new("api-huge-2", 1, "helsinki"));
+    let mut big_fleet = matrix("api-big-fleet", 1, 1);
+    big_fleet.scenarios[0].hosts = u32::MAX;
+    let cases = [
+        (huge.to_json().expect("serializes"), "invalid-spec"),
+        (big_fleet.to_json().expect("serializes"), "invalid-spec"),
+        ("[".repeat(512 * 1024), "bad-json"),
+    ];
+    for (body, code) in cases {
+        let r = post_json(server.addr(), "/v1/scenarios", &body, TIMEOUT).expect("submit");
+        assert_eq!(
+            (r.status, r.text().contains(code)),
+            (400, true),
+            "{}",
+            r.text()
+        );
+    }
+
     // Unknown job, unknown artifact, unknown route, wrong method.
     let r = get(server.addr(), "/v1/jobs/doesnotexist", TIMEOUT).expect("unknown job");
     assert_eq!(r.status, 404);

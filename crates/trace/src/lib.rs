@@ -30,7 +30,7 @@
 //! therefore emits byte-identical output across runs and — because each
 //! campaign writes to its own buffer — across ensemble thread counts.
 //! Wall-clock timings live only in the separate `phase_breakdown` side
-//! channel (`TimingProbe` in `frostlab-core`).
+//! channel (`Scenario::run_with_timings` in `frostlab-core`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,7 +8,7 @@
 //!    custom phase pins the outside air at −22 °C for the whole window;
 //! 3. `insert_after("enclosure-thermal", …)` — a custom observer phase
 //!    counts how long the tent spends below freezing, and
-//!    `wrap`/`with_timing` meter where the wall-clock goes.
+//!    `run_with_timings` meters where the wall-clock goes.
 //!
 //! ```sh
 //! cargo run --release --example scenario_compose [seed]
@@ -16,7 +16,7 @@
 
 use frostlab::climate::weather::WeatherSample;
 use frostlab::core::config::ExperimentConfig;
-use frostlab::core::phases::{TickPhase, TimingProbe};
+use frostlab::core::phases::TickPhase;
 use frostlab::core::{CampaignCtx, ScenarioBuilder};
 
 /// A weather phase that holds the outside air at a fixed deep-cold sample
@@ -95,21 +95,20 @@ fn main() {
         frozen.workload.total_runs()
     );
 
-    // 3. Observe and meter: an inserted observer phase plus per-phase
-    // wall-clock probes over the whole pipeline.
+    // 3. Observe and meter: an inserted observer phase, and the tick
+    // loop's per-phase wall-clock over the whole pipeline.
     let (timed, timings) = ScenarioBuilder::paper(cfg())
         .insert_after(
             "enclosure-thermal",
-            Box::new(TimingProbe::new(Box::new(FreezingTicks {
+            Box::new(FreezingTicks {
                 below_zero: 0,
                 total: 0,
-            }))),
+            }),
         )
-        .with_timing()
         .build()
         .run_with_timings();
     // (The observer's counters live inside the pipeline; its tick count
-    // comes back through the timing probe wrapped around it.)
+    // comes back through the per-phase timings.)
     let observer = timings
         .iter()
         .find(|t| t.phase == "freezing-ticks")
