@@ -83,9 +83,10 @@ pub struct IncidentRecord {
     pub kind: String,
     /// Affected component.
     pub subject: String,
-    /// Open timestamp (ISO-ish datetime).
+    /// Open timestamp (ISO-ish datetime; `attempt:N` for a farm
+    /// quarantine).
     pub started: String,
-    /// Resolve timestamp, if any.
+    /// Resolve timestamp, if any (same forms as `started`).
     pub resolved: Option<String>,
     /// Resolution note, if any.
     pub resolution: Option<String>,

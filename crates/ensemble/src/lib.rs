@@ -21,8 +21,10 @@
 //! Two entry points sit on top: [`sweep`] folds a seed range of campaigns
 //! (and, when they carry them, their traces and observatories) into one
 //! report, and [`run_job`] runs one [`JobSpec`] under the workspace's
-//! single panic guard — the path `frostlab-farm` workers and `frostlabd`
-//! take for every campaign they simulate.
+//! single panic guard. Around it, [`run_cached`] serves a job from a
+//! [`ResultStore`] or runs and stores it — the one step `frostlab-farm`
+//! workers (on-disk store) and `frostlabd` (in-memory cache) take for
+//! every campaign.
 //!
 //! ```no_run
 //! use frostlab_core::config::ExperimentConfig;
@@ -180,13 +182,21 @@ pub fn run_matrix_sweep(matrix: &MatrixSpec, threads: usize) -> Result<EnsembleS
     Ok(report.summary)
 }
 
-/// What one campaign job produced, projected on the thread that ran it.
-#[derive(Debug)]
-pub struct JobOutput {
+/// What a campaign job leaves behind for a [`ResultStore`]: everything
+/// [`run_job`] projects except the trace, which is never stored.
+#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+pub struct JobResult {
     /// The campaign's compact summary projection.
     pub summary: CampaignSummary,
     /// Alert view (observed scenarios only).
     pub alerts: Option<SeedAlerts>,
+}
+
+/// What one campaign job produced, projected on the thread that ran it.
+#[derive(Debug)]
+pub struct JobOutput {
+    /// The storable result.
+    pub result: JobResult,
     /// The frozen trace (traced runs only).
     pub trace: Option<CampaignTrace>,
 }
@@ -226,11 +236,13 @@ pub fn run_job(job: &JobSpec, traced: bool) -> Result<JobOutput, JobError> {
         }
         let mut results = b.build().run();
         Ok(JobOutput {
-            summary: results.summary(),
-            alerts: results
-                .obs
-                .as_ref()
-                .map(|o| SeedAlerts::from_obs(job.seed, o)),
+            result: JobResult {
+                summary: results.summary(),
+                alerts: results
+                    .obs
+                    .as_ref()
+                    .map(|o| SeedAlerts::from_obs(job.seed, o)),
+            },
             trace: results.trace.take(),
         })
     }));
@@ -238,6 +250,60 @@ pub fn run_job(job: &JobSpec, traced: bool) -> Result<JobOutput, JobError> {
         Ok(output) => output.map_err(JobError::Spec),
         Err(payload) => Err(JobError::Panic(panic_text(payload.as_ref()))),
     }
+}
+
+/// A content-addressed home for [`JobResult`]s, keyed by
+/// [`JobSpec::key`]. The farm keeps one on disk, `frostlabd` one in
+/// memory; [`run_cached`] is the one step both take around [`run_job`].
+///
+/// Contract: `get` returns only intact entries — anything missing,
+/// half-written or unparsable reads as absent, so the job just re-runs —
+/// and `put` is atomic, so concurrent `put`s of one key leave one intact
+/// entry.
+pub trait ResultStore {
+    /// Why a `put` failed.
+    type Error;
+
+    /// The result stored under `key`, if an intact one exists.
+    fn get(&self, key: &str) -> Option<JobResult>;
+
+    /// Store `result` under `key`, replacing any earlier entry.
+    fn put(&self, key: &str, result: &JobResult) -> Result<(), Self::Error>;
+}
+
+/// Serve `job` from `store`, or run it through [`run_job`] and store the
+/// result before returning. The `bool` is `true` when the result came
+/// from the store.
+///
+/// A `traced` request always simulates, because traces are not stored;
+/// an entry already in the store still makes it a hit and is not put
+/// again. A failed campaign is never stored. The outer error is the
+/// store's, the inner one the job's.
+pub fn run_cached<S: ResultStore + ?Sized>(
+    store: &S,
+    key: &str,
+    job: &JobSpec,
+    traced: bool,
+) -> Result<Result<(JobOutput, bool), JobError>, S::Error> {
+    let stored = store.get(key);
+    let hit = stored.is_some();
+    if let Some(result) = stored.filter(|_| !traced) {
+        return Ok(Ok((
+            JobOutput {
+                result,
+                trace: None,
+            },
+            true,
+        )));
+    }
+    let output = match run_job(job, traced) {
+        Ok(output) => output,
+        Err(err) => return Ok(Err(err)),
+    };
+    if !hit {
+        store.put(key, &output.result)?;
+    }
+    Ok(Ok((output, hit)))
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -268,11 +334,11 @@ mod tests {
         let j = job(ScenarioSpec::new("job", 1, "helsinki"));
         let plain = run_job(&j, false).expect("runs");
         let traced = run_job(&j, true).expect("runs");
-        assert!(plain.trace.is_none() && plain.alerts.is_none());
+        assert!(plain.trace.is_none() && plain.result.alerts.is_none());
         assert!(traced.trace.is_some());
         assert_eq!(
-            plain.summary.to_json().expect("serializes"),
-            traced.summary.to_json().expect("serializes")
+            plain.result.summary.to_json().expect("serializes"),
+            traced.result.summary.to_json().expect("serializes")
         );
     }
 

@@ -16,10 +16,12 @@
 //!   frame; [`wal::Wal::open`] truncates the tail and appends past it.
 //! * [`state`] — the idempotent fold from WAL history to queue state
 //!   (replay-twice == replay-once; terminal states absorb everything).
-//! * [`store`] — the content-addressed result store keyed by
-//!   [`frostlab_core::JobSpec::key`]; identical jobs are cache-served,
-//!   and a crash between store write and WAL append costs one cache hit,
-//!   never a re-simulation.
+//! * [`store`] — [`DirStore`], the on-disk
+//!   [`frostlab_ensemble::ResultStore`]: one `<key>.json` `JobResult`
+//!   per job, keyed by [`frostlab_core::JobSpec::key`]. Workers reach it
+//!   through [`frostlab_ensemble::run_cached`], so identical jobs are
+//!   cache-served, and a crash between store write and WAL append costs
+//!   one cache hit, never a re-simulation.
 //! * [`supervisor`] — the worker pool: leases, heartbeats, per-job retry
 //!   with exponential backoff, poison-job quarantine (with
 //!   [`frostlab_core::watchdog::IncidentRecord`]s), orphan-lease requeue
@@ -61,6 +63,6 @@ pub mod wal;
 
 pub use error::FarmError;
 pub use state::{FarmState, JobState, JobStatus};
-pub use store::ResultStore;
+pub use store::DirStore;
 pub use supervisor::{Farm, FarmStatus, RunOptions, RunOutcome};
 pub use wal::{ReplayReport, Wal, WalRecord};

@@ -8,7 +8,7 @@
 //! ├── manifest.json    # the submitted MatrixSpec (immutable after submit)
 //! ├── wal.log          # append-only, checksummed queue history
 //! ├── store/           # content-addressed results: <fnv1a-key>.json
-//! │                    #   (+ <key>.alerts.json sidecars for observed jobs)
+//! │                    #   ({summary, alerts}; alerts set for observed jobs)
 //! ├── merged.json      # invariant-form EnsembleSummary (once settled)
 //! ├── alerts.json      # merged EnsembleAlerts (once settled, observed jobs only)
 //! └── incidents.json   # quarantine incident records (if any)
@@ -23,11 +23,12 @@
 //! the CI crash-resume gate.
 //!
 //! Determinism contract: the merge folds per-job
-//! [`frostlab_core::results::CampaignSummary`] values in **manifest job
-//! order** (scenario-major, seed-minor — the
-//! same order [`frostlab_ensemble::run_matrix_sweep`] uses), so
-//! `merged.json` is byte-identical to a single-process ensemble run of
-//! the same matrix at any worker count and across any number of
+//! [`frostlab_ensemble::JobResult`]s in **manifest job order**
+//! (scenario-major, seed-minor — the same order
+//! [`frostlab_ensemble::run_matrix_sweep`] uses) through one
+//! [`SweepFold`], so `merged.json` is byte-identical to a single-process
+//! ensemble run of the same matrix, and `alerts.json` to an in-process
+//! observed sweep, at any worker count and across any number of
 //! kill/resume cycles.
 
 use std::collections::VecDeque;
@@ -39,14 +40,14 @@ use std::time::Duration;
 
 use frostlab_core::watchdog::{IncidentKind, IncidentRecord};
 use frostlab_core::{JobSpec, MatrixSpec};
-use frostlab_ensemble::{run_job, CampaignAggregate, EnsembleAlerts, EnsembleSummary};
+use frostlab_ensemble::{run_cached, EnsembleAlerts, ResultStore, SweepFold, SweepReport};
 use frostlab_trace::export::to_prometheus;
 use frostlab_trace::MetricsRegistry;
 
 use crate::error::FarmError;
 use crate::signal;
 use crate::state::{FarmState, JobStatus};
-use crate::store::ResultStore;
+use crate::store::DirStore;
 use crate::wal::{now_unix_ms, ReplayReport, Wal, WalRecord};
 
 /// File name of the submitted matrix inside a farm directory.
@@ -141,7 +142,8 @@ pub struct FarmStatus {
 struct SharedQueue {
     queue: VecDeque<u64>,
     attempts: Vec<u64>,
-    incidents: Vec<IncidentRecord>,
+    /// Quarantine incidents by job index, in completion order.
+    incidents: Vec<(u64, IncidentRecord)>,
 }
 
 /// An open farm directory.
@@ -153,7 +155,7 @@ pub struct Farm {
     keys: Vec<String>,
     wal: Mutex<Wal>,
     state: FarmState,
-    store: ResultStore,
+    store: DirStore,
     replay: ReplayReport,
 }
 
@@ -169,7 +171,7 @@ impl Farm {
         }
         fs::write(&manifest, matrix.to_json()?)?;
         let wal = Wal::create(&dir.join(WAL_FILE))?;
-        let store = ResultStore::open(&dir.join(STORE_DIR))?;
+        let store = DirStore::open(&dir.join(STORE_DIR))?;
         let jobs = matrix.expand();
         let keys = job_keys(&jobs)?;
         let state = FarmState::new(jobs.len());
@@ -199,7 +201,7 @@ impl Farm {
         let matrix = MatrixSpec::from_json(&fs::read_to_string(&manifest)?)?;
         matrix.validate()?;
         let (wal, records, replay) = Wal::open(&dir.join(WAL_FILE))?;
-        let store = ResultStore::open(&dir.join(STORE_DIR))?;
+        let store = DirStore::open(&dir.join(STORE_DIR))?;
         let jobs = matrix.expand();
         let keys = job_keys(&jobs)?;
         let state = FarmState::replay(jobs.len(), &records);
@@ -271,27 +273,16 @@ impl Farm {
             self.wal_append(&rec)?;
         }
         // Self-heal the inverse crash window: a WAL `complete` whose store
-        // entry vanished. Should not happen (store lands first), but a
-        // deleted store file must re-queue, not wedge the merge. An
-        // observed job with its summary intact but its alerts sidecar
-        // gone is the same wound: the merged alert report would silently
-        // lose a seed, so it re-runs too.
+        // entry vanished (or no longer parses). Should not happen (store
+        // lands first), but a deleted store file must re-queue, not wedge
+        // the merge.
         for idx in 0..self.jobs.len() {
-            if self.state.jobs[idx].status != JobStatus::Done {
-                continue;
-            }
-            let reason = if !self.store.contains(&self.keys[idx]) {
-                Some("completed result missing from store")
-            } else if self.jobs[idx].scenario.observe
-                && self.store.get_alerts(&self.keys[idx]).is_none()
+            if self.state.jobs[idx].status == JobStatus::Done
+                && self.store.get(&self.keys[idx]).is_none()
             {
-                Some("observed job missing its alerts sidecar")
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
                 self.state.jobs[idx].status = JobStatus::Pending;
-                let rec = WalRecord::requeue(epoch, idx as u64, reason);
+                let rec =
+                    WalRecord::requeue(epoch, idx as u64, "completed result missing from store");
                 self.wal_append(&rec)?;
             }
         }
@@ -430,12 +421,12 @@ impl Farm {
             self.wal_append(&WalRecord::drain(epoch))?;
         }
 
-        let incidents = {
-            let s = lock(&shared);
-            s.incidents.clone()
-        };
+        // Manifest order, not completion order, so the ledger is the
+        // same bytes at any worker count.
+        let mut incidents = std::mem::take(&mut lock(&shared).incidents);
+        incidents.sort_by_key(|&(job, _)| job);
         if !incidents.is_empty() {
-            self.append_incidents(&incidents)?;
+            self.append_incidents(incidents.into_iter().map(|(_, r)| r))?;
         }
 
         let settled = self.state.settled();
@@ -445,9 +436,9 @@ impl Farm {
             // stdout so the CI gate can `diff` the two files directly.
             fs::write(
                 self.dir.join(MERGED_FILE),
-                format!("{}\n", merged.invariant_json()?),
+                format!("{}\n", merged.summary.invariant_json()?),
             )?;
-            if let Some(alerts) = self.merge_alerts()? {
+            if let Some(alerts) = merged.alerts {
                 fs::write(
                     self.dir.join(ALERTS_FILE),
                     format!("{}\n", alerts.to_json()?),
@@ -477,20 +468,23 @@ impl Farm {
         })
     }
 
-    /// Fold every completed job's stored summary, in manifest job order,
-    /// into one [`EnsembleSummary`]. Quarantined jobs are excluded (and
-    /// leave `campaigns` short of the matrix size — visible in the
-    /// output, never silent).
-    pub fn merge(&self, workers: usize) -> Result<EnsembleSummary, FarmError> {
-        let mut agg = CampaignAggregate::new();
+    /// Fold every completed job's stored result, in manifest job order,
+    /// through one [`SweepFold`]: the summary always, and the alert
+    /// report — the same per-seed fold [`frostlab_ensemble::sweep`]
+    /// performs in-process — whenever the matrix has an observed
+    /// scenario, even if every observed job was quarantined. Quarantined
+    /// jobs are excluded (and leave `campaigns` short of the matrix size
+    /// — visible in the output, never silent).
+    pub fn merge(&self, workers: usize) -> Result<SweepReport, FarmError> {
+        let mut fold = SweepFold::new(self.matrix.seed_start);
         for (idx, key) in self.keys.iter().enumerate() {
             match self.state.jobs[idx].status {
                 JobStatus::Done => {
-                    let summary = self
+                    let result = self
                         .store
                         .get(key)
                         .ok_or_else(|| FarmError::MissingResult(key.clone()))?;
-                    agg.absorb(&summary);
+                    fold.absorb(&result.summary, None, result.alerts);
                 }
                 JobStatus::Quarantined => {}
                 JobStatus::Pending | JobStatus::Leased => {
@@ -500,44 +494,11 @@ impl Farm {
                 }
             }
         }
-        Ok(agg.finish(self.matrix.seed_start, workers))
-    }
-
-    /// Fold every observed job's stored alerts sidecar, in manifest job
-    /// order, into one [`EnsembleAlerts`] report — the same per-seed fold
-    /// [`frostlab_ensemble::sweep`] performs in-process, so
-    /// the two are byte-comparable at any worker count. Returns `None`
-    /// when no job in the matrix armed observability. Like
-    /// [`Farm::merge`], quarantined jobs are excluded and non-terminal
-    /// jobs are an error; an observed `Done` job missing its sidecar is
-    /// a [`FarmError::MissingResult`] (the run-time self-heal re-queues
-    /// that wound before it can get here).
-    pub fn merge_alerts(&self) -> Result<Option<EnsembleAlerts>, FarmError> {
-        if !self.jobs.iter().any(|j| j.scenario.observe) {
-            return Ok(None);
+        let mut report = fold.finish(workers);
+        if self.jobs.iter().any(|j| j.scenario.observe) && report.alerts.is_none() {
+            report.alerts = Some(EnsembleAlerts::new(self.matrix.seed_start));
         }
-        let mut agg = EnsembleAlerts::new(self.matrix.seed_start);
-        for (idx, key) in self.keys.iter().enumerate() {
-            if !self.jobs[idx].scenario.observe {
-                continue;
-            }
-            match self.state.jobs[idx].status {
-                JobStatus::Done => {
-                    let alerts = self
-                        .store
-                        .get_alerts(key)
-                        .ok_or_else(|| FarmError::MissingResult(format!("{key} (alerts)")))?;
-                    agg.absorb(alerts);
-                }
-                JobStatus::Quarantined => {}
-                JobStatus::Pending | JobStatus::Leased => {
-                    return Err(FarmError::MissingResult(format!(
-                        "job {idx} ({key}) is not terminal; run the farm to completion first"
-                    )));
-                }
-            }
-        }
-        Ok(Some(agg))
+        Ok(report)
     }
 
     fn wal_append(&self, record: &WalRecord) -> Result<(), FarmError> {
@@ -552,13 +513,16 @@ impl Farm {
 
     /// Append quarantine incidents to `incidents.json` (merging with any
     /// records from earlier runs).
-    fn append_incidents(&self, fresh: &[IncidentRecord]) -> Result<(), FarmError> {
+    fn append_incidents(
+        &self,
+        fresh: impl IntoIterator<Item = IncidentRecord>,
+    ) -> Result<(), FarmError> {
         let path = self.dir.join(INCIDENTS_FILE);
         let mut all: Vec<IncidentRecord> = match fs::read_to_string(&path) {
             Ok(text) => serde_json::from_str(&text)?,
             Err(_) => Vec::new(),
         };
-        all.extend(fresh.iter().cloned());
+        all.extend(fresh);
         fs::write(&path, serde_json::to_string_pretty(&all)?)?;
         Ok(())
     }
@@ -572,10 +536,9 @@ enum JobOutcome {
     Quarantined,
 }
 
-/// Lease, run (or cache-serve), and record one job. Store writes happen
-/// strictly before the WAL `complete` append — the crash-safety pivot —
-/// and for an observed job the alerts sidecar lands strictly before the
-/// summary, so a visible summary always has its alerts alongside it.
+/// Lease, run (or cache-serve), and record one job. [`run_cached`]
+/// writes the store entry strictly before the WAL `complete` append —
+/// the crash-safety pivot; a store write error is fatal, never retried.
 #[allow(clippy::too_many_arguments)]
 fn process_job(
     epoch: u64,
@@ -583,7 +546,7 @@ fn process_job(
     job: u64,
     spec: &JobSpec,
     key: &str,
-    store: &ResultStore,
+    store: &DirStore,
     wal: &Mutex<Wal>,
     shared: &Mutex<SharedQueue>,
     max_attempts: u64,
@@ -591,21 +554,14 @@ fn process_job(
 ) -> Result<JobOutcome, FarmError> {
     lock(wal).append(&WalRecord::lease(epoch, worker, job))?;
 
-    let cache_complete =
-        store.contains(key) && (!spec.scenario.observe || store.get_alerts(key).is_some());
-    if cache_complete {
-        lock(wal).append(&WalRecord::complete(epoch, worker, job, true))?;
-        return Ok(JobOutcome::Cached);
-    }
-
-    let note = match run_job(spec, false) {
-        Ok(output) => {
-            if let Some(alerts) = &output.alerts {
-                store.put_alerts(key, worker, alerts)?;
-            }
-            store.put(key, worker, &output.summary)?;
-            lock(wal).append(&WalRecord::complete(epoch, worker, job, false))?;
-            return Ok(JobOutcome::Ran);
+    let note = match run_cached(store, key, spec, false)? {
+        Ok((_, cached)) => {
+            lock(wal).append(&WalRecord::complete(epoch, worker, job, cached))?;
+            return Ok(if cached {
+                JobOutcome::Cached
+            } else {
+                JobOutcome::Ran
+            });
         }
         Err(err) => err.to_string(),
     };
@@ -617,9 +573,8 @@ fn process_job(
     };
     if attempts >= max_attempts {
         lock(wal).append(&WalRecord::quarantine(epoch, job, attempts, &note))?;
-        let mut s = lock(shared);
-        s.incidents
-            .push(quarantine_incident(spec, key, attempts, &note));
+        let incident = quarantine_incident(spec, key, attempts, &note);
+        lock(shared).incidents.push((job, incident));
         return Ok(JobOutcome::Quarantined);
     }
     lock(wal).append(&WalRecord::fail(epoch, worker, job, attempts, &note))?;
@@ -633,13 +588,15 @@ fn process_job(
 }
 
 /// The serializable incident a quarantine produces — the farm-side
-/// sibling of the in-campaign watchdog incident log.
+/// sibling of the in-campaign watchdog incident log. It is stamped with
+/// attempt ordinals, not wall time (the WAL records carry that), so a
+/// rerun of the same matrix writes the same bytes.
 fn quarantine_incident(spec: &JobSpec, key: &str, attempts: u64, note: &str) -> IncidentRecord {
     IncidentRecord {
         kind: IncidentKind::JobQuarantine.name().to_string(),
         subject: format!("job {key} ({} @ seed {})", spec.scenario.name, spec.seed),
-        started: format!("unix_ms:{}", now_unix_ms()),
-        resolved: Some(format!("unix_ms:{}", now_unix_ms())),
+        started: "attempt:1".to_string(),
+        resolved: Some(format!("attempt:{attempts}")),
         resolution: Some(format!("quarantined after {attempts} attempts: {note}")),
     }
 }

@@ -123,8 +123,11 @@ fn farm_first_store_file(dir: &std::path::Path) -> PathBuf {
 
 #[test]
 fn poison_jobs_are_quarantined_without_wedging_the_queue() -> Result<(), FarmError> {
+    // Observed poison: every observed job quarantines, yet the matrix
+    // has an observed scenario, so `alerts.json` is still written.
     let mut poison = ScenarioSpec::new("poison", 2, "helsinki");
     poison.poison = true;
+    poison.observe = true;
     let matrix = MatrixSpec {
         scenarios: vec![ScenarioSpec::new("helsinki", 2, "helsinki"), poison],
         seed_start: 0,
@@ -149,6 +152,9 @@ fn poison_jobs_are_quarantined_without_wedging_the_queue() -> Result<(), FarmErr
         "{incidents}"
     );
     assert!(incidents.contains("poison phase detonated"), "{incidents}");
+    assert!(incidents.contains("\"attempt:3\""), "{incidents}");
+    let alerts = std::fs::read_to_string(dir.join(ALERTS_FILE))?;
+    assert!(alerts.contains("\"campaigns\": 0"), "{alerts}");
 
     // The merge still lands: quarantined jobs are excluded, visibly.
     let merged = std::fs::read_to_string(dir.join(MERGED_FILE))?;
@@ -160,11 +166,21 @@ fn poison_jobs_are_quarantined_without_wedging_the_queue() -> Result<(), FarmErr
     assert_eq!(again.jobs_quarantined, 0);
     assert!(again.settled);
     std::fs::remove_dir_all(&dir).ok();
+
+    // Attempt ordinals, not wall time, in manifest order: a second fresh
+    // run writes the same ledger bytes.
+    let rerun = scratch("poison-rerun");
+    Farm::submit(&rerun, &matrix)?.run(quiet(2))?;
+    assert_eq!(
+        std::fs::read_to_string(rerun.join(INCIDENTS_FILE))?,
+        incidents
+    );
+    std::fs::remove_dir_all(&rerun).ok();
     Ok(())
 }
 
 #[test]
-fn observed_jobs_write_alert_sidecars_and_a_merged_report() -> Result<(), FarmError> {
+fn observed_jobs_store_alerts_in_their_entry_and_a_merged_report() -> Result<(), FarmError> {
     let mut observed = ScenarioSpec::new("helsinki+obs", 2, "helsinki");
     observed.observe = true;
     let matrix = MatrixSpec {
@@ -179,18 +195,10 @@ fn observed_jobs_write_alert_sidecars_and_a_merged_report() -> Result<(), FarmEr
         let mut farm = Farm::submit(&dir, &matrix)?;
         assert!(farm.run(quiet(workers))?.settled);
 
-        // Only the observed scenario's jobs carry sidecars; the merged
-        // report folds exactly those, in manifest job (seed) order.
-        let sidecars = std::fs::read_dir(dir.join(STORE_DIR))?
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .ends_with(".alerts.json")
-            })
-            .count();
-        assert_eq!(sidecars, 2, "one sidecar per observed job");
+        // One store file per job, observed or not; the merged report
+        // folds the observed ones, in manifest job (seed) order.
+        let entries = std::fs::read_dir(dir.join(STORE_DIR))?.count();
+        assert_eq!(entries, 4, "one entry per job");
         let text = std::fs::read_to_string(dir.join(ALERTS_FILE))?;
         let report: EnsembleAlerts = serde_json::from_str(&text).expect("valid report");
         assert_eq!(report.campaigns, 2);
@@ -208,17 +216,16 @@ fn observed_jobs_write_alert_sidecars_and_a_merged_report() -> Result<(), FarmEr
         "alerts.json must be byte-identical across worker counts"
     );
 
-    // A deleted sidecar is a healed wound, not a silent hole: exactly
-    // that job re-runs on resume and the report comes back identical.
+    // A deleted observed entry is a healed wound, not a silent hole:
+    // exactly that job re-runs on resume and the report comes back
+    // identical.
     let dir = scratch("obs-heal");
     let mut farm = Farm::submit(&dir, &matrix)?;
     assert!(farm.run(quiet(2))?.settled);
+    let observed_key = farm.jobs()[2].key()?;
+    assert!(farm.jobs()[2].scenario.observe);
     drop(farm);
-    let victim = std::fs::read_dir(dir.join(STORE_DIR))?
-        .map(|e| e.expect("entry").path())
-        .find(|p| p.to_string_lossy().ends_with(".alerts.json"))
-        .expect("a sidecar exists");
-    std::fs::remove_file(&victim)?;
+    std::fs::remove_file(dir.join(STORE_DIR).join(format!("{observed_key}.json")))?;
     let mut farm = Farm::open(&dir)?;
     let outcome = farm.run(quiet(2))?;
     assert!(outcome.settled);

@@ -29,9 +29,10 @@
 //!   traffic.
 //!
 //! Module map: [`http`] (wire framing) → [`server`] (router, workers) →
-//! [`exec`] (matrix execution + cache) over [`registry`] (job lifecycle)
-//! and [`gate`] (admission); [`api`] holds the wire types and [`client`]
-//! a minimal blocking client for tests and `loadgen`.
+//! [`exec`] (matrix execution + the in-memory result store) over
+//! [`registry`] (job lifecycle) and [`gate`] (admission); [`api`] holds
+//! the wire types and [`client`] a minimal blocking client for tests and
+//! `loadgen`.
 
 #![warn(missing_docs)]
 
@@ -44,7 +45,7 @@ pub mod registry;
 pub mod server;
 
 pub use api::{ErrorBody, HealthBody, JobPhase, JobStatusBody, SubmitResponse};
-pub use exec::{ExecStats, ResultCache};
+pub use exec::ResultCache;
 pub use gate::{AdmissionGate, GateFull};
 pub use registry::{job_id, Artifacts, JobEntry, JobRegistry};
 pub use server::{Server, ServerConfig, MAX_WAIT_S};

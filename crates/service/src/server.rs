@@ -80,6 +80,17 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(config: &ServerConfig) -> Shared {
+        Shared {
+            registry: JobRegistry::new(),
+            cache: ResultCache::new(),
+            gate: AdmissionGate::new(config.queue_capacity),
+            metrics: Mutex::new(MetricsRegistry::new()),
+            max_body_bytes: config.max_body_bytes,
+            stopping: AtomicBool::new(false),
+        }
+    }
+
     fn count(&self, name: &str) {
         self.metrics
             .lock()
@@ -119,14 +130,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            registry: JobRegistry::new(),
-            cache: ResultCache::new(),
-            gate: AdmissionGate::new(config.queue_capacity),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            max_body_bytes: config.max_body_bytes,
-            stopping: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(&config));
 
         let workers = (0..config.sim_workers.max(1))
             .map(|i| {
@@ -438,19 +442,15 @@ fn sim_worker(shared: &Shared) {
             continue;
         };
         shared.registry.mark_running(&id);
-        let outcome = execute_matrix(&entry.matrix, &shared.cache, &|cache_hit| {
-            shared.registry.record_campaign(&id, cache_hit);
+        let outcome = execute_matrix(&entry.matrix, &shared.cache, &|cached| {
+            shared.registry.record_campaign(&id, cached);
+            let kind = if cached { "cached" } else { "simulated" };
+            shared.count_labeled("campaigns_total", &[("kind", kind)], 1);
         });
         match outcome {
-            Ok((artifacts, stats)) => {
+            Ok(artifacts) => {
                 shared.registry.mark_done(&id, artifacts);
                 shared.count("jobs_completed_total");
-                shared.count_labeled("campaigns_total", &[("kind", "simulated")], stats.simulated);
-                shared.count_labeled(
-                    "campaigns_total",
-                    &[("kind", "cache-hit")],
-                    stats.cache_hits,
-                );
             }
             Err(e) => {
                 shared.registry.mark_failed(&id, e.to_string());
@@ -476,4 +476,81 @@ fn json_error(status: u16, body: &ErrorBody) -> Response {
 
 fn error_response(status: u16, code: &str, message: impl Into<String>) -> Response {
     json_error(status, &ErrorBody::new(code, message))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use frostlab_core::ScenarioSpec;
+    use proptest::collection::vec;
+    use proptest::prelude::any;
+
+    fn matrix_json(climate: &str, seeds: u64) -> String {
+        let scenarios = vec![ScenarioSpec::new("fuzz", 1, climate)];
+        let m = MatrixSpec {
+            scenarios,
+            seed_start: 0,
+            seeds,
+        };
+        m.to_json().expect("serializes")
+    }
+
+    /// No `_`, so a generated target never asks for a `wait_s` long-poll.
+    const TAIL: &[u8] = b"abcdefstw0123456789/.?&=%-";
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// Any method × path × query × body against a daemon with one job
+        /// queued and no simulation worker: a status from the API's set,
+        /// never a panic, and every non-2xx body an `ErrorBody`.
+        #[test]
+        fn arbitrary_requests_get_typed_answers(
+            picks in (any::<usize>(), any::<usize>(), any::<usize>()),
+            tail in vec(any::<usize>(), 0..16),
+            raw in vec(any::<u8>(), 0..96),
+        ) {
+            let shared = Shared::new(&ServerConfig {
+                queue_capacity: 1,
+                ..ServerConfig::default()
+            });
+            let send = |method: &str, target: String, body: Vec<u8>| {
+                let (method, headers) = (method.to_string(), Vec::new());
+                handle_request(&shared, &Request { method, target, headers, body })
+            };
+            let queued = matrix_json("helsinki", 1);
+            let submit = send("POST", "/v1/scenarios".into(), queued.clone().into_bytes());
+            proptest::prop_assert_eq!(submit.status, 202);
+
+            let (method, route, body) = picks;
+            let id = job_id(&MatrixSpec::from_json(&queued).expect("parses")).expect("id");
+            let mut target = match route % 7 {
+                0 => "/healthz".to_string(),
+                1 => "/metrics".to_string(),
+                2 => "/v1/scenarios".to_string(),
+                3 => "/v1/jobs/".to_string(),
+                n => format!("/v1/jobs/{id}{}", ["", "/summary", "/alerts.json"][n - 4]),
+            };
+            // An arbitrary path and/or query tail on a third of the cases.
+            if tail.len() > 10 {
+                target.extend(tail.iter().map(|&i| TAIL[i % TAIL.len()] as char));
+            }
+            let body = match body % 4 {
+                0 => raw,
+                1 => queued.into_bytes(),
+                2 => matrix_json("helsinki", 2).into_bytes(),
+                _ => matrix_json("atlantis", 1).into_bytes(),
+            };
+            let method = ["GET", "POST", "GET", "POST", "PUT", "get", ""][method % 7];
+
+            let response = send(method, target.clone(), body);
+            let text = String::from_utf8_lossy(&response.body);
+            let case = format!("{method} {target} -> {} {text}", response.status);
+            let typed = [200, 202, 400, 404, 405, 409, 413, 429].contains(&response.status);
+            proptest::prop_assert!(typed, "{}", case);
+            if response.status >= 300 {
+                proptest::prop_assert!(serde_json::from_str::<ErrorBody>(&text).is_ok(), "{}", case);
+            }
+        }
+    }
 }

@@ -155,6 +155,19 @@ fn identical_submissions_share_one_simulation_and_identical_bytes() {
         get(server.addr(), &format!("/v1/jobs/{wid}/summary"), TIMEOUT).expect("summary");
     assert_eq!(wsummary.text(), wref);
 
+    // The scrape counts campaigns by provenance under the farm's word:
+    // 2 + 1 simulated, then seeds 0 and 1 of the wider matrix cached.
+    let scrape = get(server.addr(), "/metrics", TIMEOUT).expect("metrics");
+    let text = scrape.text();
+    assert!(
+        text.contains("_campaigns_total{kind=\"cached\"} 2\n"),
+        "{text}"
+    );
+    assert!(
+        text.contains("_campaigns_total{kind=\"simulated\"} 3\n"),
+        "{text}"
+    );
+
     server.shutdown();
 }
 
