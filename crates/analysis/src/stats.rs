@@ -306,17 +306,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// Index of the fullest bin (first one on ties).
-    pub fn mode_bin(&self) -> usize {
-        let mut best = 0usize;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c > self.counts[best] {
-                best = i;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -476,6 +465,5 @@ mod tests {
         assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow, 1);
         assert_eq!(h.total(), 7);
-        assert_eq!(h.mode_bin(), 0);
     }
 }

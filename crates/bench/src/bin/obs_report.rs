@@ -97,9 +97,15 @@ fn main() {
     };
 
     eprintln!("obs_report: observing {seeds} campaign(s) of {campaign_name:?} from seed {seed} …");
-    // The engine's ordered sink folds per-seed records in seed order on
-    // this thread, so every artifact below is thread-count invariant.
-    let mut observed: Vec<(u64, CampaignObs)> = Vec::with_capacity(seeds as usize);
+    std::fs::create_dir_all(&out_dir).expect("create output directory");
+    let paper_gate = days <= 0 && hosts == 0;
+    let mut alerts = EnsembleAlerts::new(seed);
+    let mut digests: Vec<HealthDigest> = Vec::with_capacity(seeds as usize);
+    let mut flight_files = 0usize;
+    let mut gate_verdict: Option<Result<String, String>> = None;
+    // The engine's ordered sink sees each campaign in seed order on this
+    // thread, so every artifact below is thread-count invariant, and a
+    // campaign's observatory output is dropped once it is folded in.
     Ensemble::new(seeds).threads(threads).run_scenarios(
         |i| {
             ScenarioBuilder::paper(make_config(seed + i))
@@ -115,28 +121,25 @@ fn main() {
                     .expect("with_observability arms the observatory"),
             )
         },
-        |_, rec| observed.push(rec),
-    );
-
-    std::fs::create_dir_all(&out_dir).expect("create output directory");
-    let mut alerts = EnsembleAlerts::new(seed);
-    let mut digests: Vec<HealthDigest> = Vec::with_capacity(observed.len());
-    let mut flight_files = 0usize;
-    for (s, obs) in &observed {
-        alerts.absorb(SeedAlerts::from_obs(*s, obs));
-        let digest = HealthDigest::from_obs(&campaign_name, *s, obs, top_k);
-        println!("{}", digest.render());
-        digests.push(digest);
-        if !obs.flights.is_empty() {
-            let dir = format!("{out_dir}/flightrec/seed-{s}");
-            std::fs::create_dir_all(&dir).expect("create flightrec directory");
-            for dump in &obs.flights {
-                std::fs::write(format!("{}/{}", dir, dump.file_name()), dump.to_jsonl())
-                    .expect("write flight dump");
-                flight_files += 1;
+        |_, (s, obs)| {
+            alerts.absorb(SeedAlerts::from_obs(s, &obs));
+            let digest = HealthDigest::from_obs(&campaign_name, s, &obs, top_k);
+            println!("{}", digest.render());
+            digests.push(digest);
+            if !obs.flights.is_empty() {
+                let dir = format!("{out_dir}/flightrec/seed-{s}");
+                std::fs::create_dir_all(&dir).expect("create flightrec directory");
+                for dump in &obs.flights {
+                    std::fs::write(format!("{}/{}", dir, dump.file_name()), dump.to_jsonl())
+                        .expect("write flight dump");
+                    flight_files += 1;
+                }
             }
-        }
-    }
+            if paper_gate && s == 42 {
+                gate_verdict = Some(paper_gate_verdict(&obs));
+            }
+        },
+    );
 
     let write = |name: &str, body: String| {
         let path = format!("{out_dir}/{name}");
@@ -159,38 +162,43 @@ fn main() {
         "obs_report: {} alert event(s), {} flight dump(s) across {} campaign(s)",
         alerts.total_alerts(),
         flight_files,
-        observed.len()
+        digests.len()
     );
 
-    // The paper gate: the scripted campaign at the golden seed must
-    // reproduce the published corruption tally — exactly 5 bad hashes,
-    // and a campaign ratio inside the paper's 5/27,627 budget (the SLO
-    // spec's own target).
-    if days <= 0 && hosts == 0 {
-        for (s, obs) in &observed {
-            if *s != 42 {
-                continue;
-            }
-            let slo = obs
-                .slos
-                .iter()
-                .find(|a| a.slo == "corruption-rate")
-                .expect("paper defaults carry the corruption-rate SLO");
-            let target_ok = (slo.target - PAPER_BUDGET).abs() < 1e-12;
-            if slo.bad != PAPER_BAD_HASHES || !slo.attained || !target_ok {
-                eprintln!(
-                    "obs_report: PAPER GATE FAILED: corruption-rate saw {}/{} \
-                     against target {:.6e}, attained={} (expected exactly \
-                     {PAPER_BAD_HASHES} bad hashes within the 5/27,627 budget)",
-                    slo.bad, slo.total, slo.target, slo.attained
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "obs_report: paper gate ok — corruption-rate {}/{} (ratio {:.3e}) \
-                 within the paper's 5/27,627 budget",
-                slo.bad, slo.total, slo.ratio
-            );
+    // The verdict is reported after the artifacts are written, so a
+    // failing gate still leaves them behind for inspection.
+    match gate_verdict {
+        Some(Ok(line)) => eprintln!("{line}"),
+        Some(Err(line)) => {
+            eprintln!("{line}");
+            std::process::exit(1);
         }
+        None => {}
     }
+}
+
+/// The paper gate: the scripted campaign at the golden seed must
+/// reproduce the published corruption tally — exactly 5 bad hashes, and
+/// a campaign ratio inside the paper's 5/27,627 budget (the SLO spec's
+/// own target). Returns the line to report, `Err` when the gate fails.
+fn paper_gate_verdict(obs: &CampaignObs) -> Result<String, String> {
+    let slo = obs
+        .slos
+        .iter()
+        .find(|a| a.slo == "corruption-rate")
+        .expect("paper defaults carry the corruption-rate SLO");
+    let target_ok = (slo.target - PAPER_BUDGET).abs() < 1e-12;
+    if slo.bad != PAPER_BAD_HASHES || !slo.attained || !target_ok {
+        return Err(format!(
+            "obs_report: PAPER GATE FAILED: corruption-rate saw {}/{} \
+             against target {:.6e}, attained={} (expected exactly \
+             {PAPER_BAD_HASHES} bad hashes within the 5/27,627 budget)",
+            slo.bad, slo.total, slo.target, slo.attained
+        ));
+    }
+    Ok(format!(
+        "obs_report: paper gate ok — corruption-rate {}/{} (ratio {:.3e}) \
+         within the paper's 5/27,627 budget",
+        slo.bad, slo.total, slo.ratio
+    ))
 }

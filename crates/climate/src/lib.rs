@@ -39,7 +39,6 @@
 
 pub mod fastmath;
 pub mod math;
-pub mod precip;
 pub mod presets;
 pub mod psychro;
 pub mod solar;

@@ -121,12 +121,6 @@ pub fn absolute_humidity_g_m3(t_c: f64, rh_pct: f64) -> f64 {
     e_pa / (461.5 * t_k) * 1000.0
 }
 
-/// Mixing ratio in g of water vapor per kg of dry air at pressure `p_hpa`.
-pub fn mixing_ratio_g_kg(t_c: f64, rh_pct: f64, p_hpa: f64) -> f64 {
-    let e = vapor_pressure_hpa(t_c, rh_pct);
-    622.0 * e / (p_hpa - e)
-}
-
 /// Relative humidity of an air parcel after it is heated from `t_out` to
 /// `t_in` at constant moisture content (the tent/case situation: outside air
 /// is drawn in and warmed by the equipment, which *lowers* its RH).
@@ -254,12 +248,6 @@ mod tests {
         let safe = condensation_risk(-10.0, 90.0, 2.0);
         assert!(!safe.condenses);
         assert!(safe.margin_k > 5.0);
-    }
-
-    #[test]
-    fn mixing_ratio_sane() {
-        let w = mixing_ratio_g_kg(20.0, 50.0, 1013.25);
-        assert!((7.0..8.0).contains(&w), "{w}"); // ≈ 7.3 g/kg
     }
 
     #[test]

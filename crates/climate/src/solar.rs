@@ -139,20 +139,6 @@ pub fn irradiance_at(latitude_deg: f64, t: SimTime, cloud: f64) -> f64 {
     clear_sky_at(latitude_deg, t) * cloud_attenuation(cloud)
 }
 
-/// Day length in hours (sunrise to sunset) at the given latitude and day.
-pub fn day_length_hours(latitude_deg: f64, day_of_year: u32) -> f64 {
-    let lat = latitude_deg.to_radians();
-    let dec = declination_deg(day_of_year).to_radians();
-    let cos_ha = -lat.tan() * dec.tan();
-    if cos_ha >= 1.0 {
-        0.0 // polar night
-    } else if cos_ha <= -1.0 {
-        24.0 // midnight sun
-    } else {
-        2.0 * cos_ha.acos().to_degrees() / 15.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,22 +159,6 @@ mod tests {
         assert!((12.0..22.0).contains(&e), "{e}");
         // Midnight: far below horizon.
         assert!(elevation_deg(HELSINKI_LAT_DEG, 46, 0.0) < -30.0);
-    }
-
-    #[test]
-    fn day_length_winter_vs_summer() {
-        let feb = day_length_hours(HELSINKI_LAT_DEG, 46);
-        let jun = day_length_hours(HELSINKI_LAT_DEG, 172);
-        assert!((8.0..11.0).contains(&feb), "feb {feb}");
-        assert!((17.0..20.5).contains(&jun), "jun {jun}");
-        assert!(jun > feb);
-    }
-
-    #[test]
-    fn polar_night_and_midnight_sun() {
-        // 80 °N mid-winter: no day; mid-summer: 24 h.
-        assert_eq!(day_length_hours(80.0, 355), 0.0);
-        assert_eq!(day_length_hours(80.0, 172), 24.0);
     }
 
     #[test]

@@ -9,14 +9,6 @@ pub struct CracUnit {
     pub power_draw_kw: f64,
 }
 
-impl CracUnit {
-    /// Coefficient of performance implied by this unit's specs
-    /// (fan/controls only: the chilled water comes from elsewhere).
-    pub fn cop(&self) -> f64 {
-        self.cooling_capacity_kw / self.power_draw_kw
-    }
-}
-
 /// The whole cooling chain for one machine room.
 #[derive(Debug, Clone)]
 pub struct CoolingPlant {
@@ -78,14 +70,5 @@ mod tests {
         assert!((p.total_overhead_kw() - 55.4).abs() < 1e-9);
         // The CRACs can actually carry the 75 kW design load.
         assert!(p.cooling_capacity_kw() >= 75.0);
-    }
-
-    #[test]
-    fn crac_cop_reasonable() {
-        let p = CoolingPlant::department_retrofit();
-        for c in &p.cracs {
-            let cop = c.cop();
-            assert!((5.0..20.0).contains(&cop), "air-mover COP {cop}");
-        }
     }
 }

@@ -38,12 +38,6 @@ pub fn pue_with_legacy(
     pue(it_kw, plant.total_overhead_kw() + legacy_overhead)
 }
 
-/// Free-air PUE: fans only. Typical air-economized facilities publish
-/// 1.07–1.2; we expose the fan fraction as a parameter.
-pub fn free_air_pue(fan_fraction: f64) -> f64 {
-    1.0 + fan_fraction
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,12 +57,6 @@ mod tests {
         let honest = pue_with_legacy(75.0, &p, 0.25, 0.5);
         assert!(honest > naive, "naive {naive}, honest {honest}");
         assert!(honest < 2.2);
-    }
-
-    #[test]
-    fn free_air_is_far_better() {
-        let p = CoolingPlant::department_retrofit();
-        assert!(free_air_pue(0.1) < naive_plant_pue(75.0, &p) - 0.5);
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl EnsembleAlerts {
         self.per_seed.iter().map(|s| s.alerts.len()).sum()
     }
 
-    /// Seeds whose named SLO was *not* attained at campaign end.
-    pub fn breached_seeds(&self, slo: &str) -> Vec<u64> {
-        self.per_seed
-            .iter()
-            .filter(|s| s.slos.iter().any(|a| a.slo == slo && !a.attained))
-            .map(|s| s.seed)
-            .collect()
-    }
-
     /// The whole sweep's alert timeline as deterministic JSON lines:
     /// one `{"seed":N,"alert":{…}}` object per line, seeds in order,
     /// alerts in sim-time order within each seed. This is the artifact
@@ -154,8 +145,6 @@ mod tests {
         assert_eq!(agg.campaigns, 3);
         assert_eq!(agg.total_alerts(), 6);
         assert_eq!(agg.per_seed[0].seed, 3);
-        assert_eq!(agg.breached_seeds("corruption-rate"), vec![3, 4, 5]);
-        assert!(agg.breached_seeds("dew-point-margin").is_empty());
     }
 
     #[test]

@@ -49,14 +49,6 @@ impl FaultKind {
             FaultKind::SwitchFailure => ComponentKind::Switch,
         }
     }
-
-    /// Does this fault stop the host's workload?
-    pub fn is_outage(self) -> bool {
-        matches!(
-            self,
-            FaultKind::TransientSystemFailure | FaultKind::PsuFailure
-        )
-    }
 }
 
 /// One concrete fault occurrence.
@@ -82,14 +74,6 @@ mod tests {
             FaultKind::TransientSystemFailure.component(),
             ComponentKind::Motherboard
         );
-    }
-
-    #[test]
-    fn outage_classification() {
-        assert!(FaultKind::TransientSystemFailure.is_outage());
-        assert!(FaultKind::PsuFailure.is_outage());
-        assert!(!FaultKind::MemoryBitFlip.is_outage());
-        assert!(!FaultKind::SensorChipErratic.is_outage());
     }
 
     #[test]

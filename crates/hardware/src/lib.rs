@@ -24,7 +24,7 @@
 //!   block-level RAID1/RAID5 with reconstruction;
 //! * [`memtest`] — a Memtest86+-style tester with injectable DRAM defects
 //!   (the indoor diagnosis that condemned host #15);
-//! * [`psu`], [`fan`] — supporting components with health states;
+//! * [`psu`] — the power supply, a supporting component with health states;
 //! * [`switch`] — the whiny 8-port switches;
 //! * [`server`] — vendor specs and the assembled machine;
 //! * [`columns`] — the same campaign-relevant state as flat
@@ -37,7 +37,6 @@
 pub mod columns;
 pub mod component;
 pub mod disk;
-pub mod fan;
 pub mod memory;
 pub mod memtest;
 pub mod psu;

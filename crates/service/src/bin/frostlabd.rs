@@ -34,23 +34,18 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut val = |name: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{name} needs a value"))
-        };
+        let mut val = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--addr" => config.addr = val("--addr"),
-            "--workers" => config.sim_workers = val("--workers").parse().expect("--workers: usize"),
-            "--queue-cap" => {
-                config.queue_capacity = val("--queue-cap").parse().expect("--queue-cap: usize")
-            }
+            "--addr" => config.addr = val(),
+            "--workers" => config.sim_workers = val().parse().unwrap_or_else(|_| usage()),
+            "--queue-cap" => config.queue_capacity = val().parse().unwrap_or_else(|_| usage()),
             "--max-body-kib" => {
-                let kib: usize = val("--max-body-kib")
-                    .parse()
-                    .expect("--max-body-kib: usize");
-                config.max_body_bytes = kib * 1024;
+                let kib: usize = val().parse().unwrap_or_else(|_| usage());
+                // A wrapped product would cap bodies at a few bytes (or 0)
+                // and turn every POST into a 413.
+                config.max_body_bytes = kib.checked_mul(1024).unwrap_or_else(|| usage());
             }
-            "--validate-prom" => validate = Some(val("--validate-prom")),
+            "--validate-prom" => validate = Some(val()),
             _ => usage(),
         }
     }

@@ -16,7 +16,6 @@
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Shed signal: the queue was full at enqueue time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,25 +110,13 @@ impl AdmissionGate {
         self.state.lock().expect("gate lock").closed = true;
         self.ready.notify_all();
     }
-
-    /// Block (with polling granularity `tick`) until nothing is queued
-    /// or in flight — the drain barrier `shutdown` uses.
-    pub fn drain(&self, tick: Duration) {
-        loop {
-            let s = self.state.lock().expect("gate lock");
-            if s.queue.is_empty() && s.in_flight == 0 {
-                return;
-            }
-            drop(s);
-            std::thread::sleep(tick);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn sheds_above_capacity_with_backoff_hint() {
@@ -177,23 +164,13 @@ mod tests {
         assert_eq!(worker.join().expect("worker"), None);
         // Closed gate sheds immediately.
         assert!(gate.try_enqueue("c").is_err());
-    }
-
-    #[test]
-    fn drain_waits_for_in_flight_work() {
-        let gate = Arc::new(AdmissionGate::new(4));
-        gate.try_enqueue("a").expect("fits");
-        let id = gate.dequeue().expect("job");
-        assert_eq!(id, "a");
-        let finisher = {
-            let gate = gate.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                gate.finish();
-            })
-        };
-        gate.drain(Duration::from_millis(5));
-        assert_eq!(gate.in_flight(), 0);
-        finisher.join().expect("finisher");
+        // Close stops admission, not the queue: a job queued before
+        // `close` is still handed out, and only then does `dequeue`
+        // report the close.
+        let gate = AdmissionGate::new(8);
+        gate.try_enqueue("d").expect("fits");
+        gate.close();
+        assert_eq!(gate.dequeue().as_deref(), Some("d"));
+        assert_eq!(gate.dequeue(), None);
     }
 }

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 struct Entry<E> {
     at: SimTime,
@@ -111,15 +111,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { at, seq, payload });
     }
 
-    /// Schedule `payload` after a relative delay from `now`.
-    ///
-    /// # Panics
-    /// Panics if the delay is negative.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) {
-        assert!(!delay.is_negative(), "negative scheduling delay");
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -131,19 +122,6 @@ impl<E> EventQueue<E> {
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         Some((entry.at, entry.payload))
-    }
-
-    /// Pop the next event only if it is scheduled at or before `deadline`.
-    ///
-    /// `now` advances to the event time on success and is left untouched on
-    /// `None`, so a caller can interleave event processing with fixed-step
-    /// activities (e.g. a thermal integrator) without overshooting.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop()
-        } else {
-            None
-        }
     }
 
     /// Drop all pending events (e.g. when ending a phase early).
@@ -195,31 +173,6 @@ mod tests {
         q.schedule(SimTime::from_secs(10), ());
         q.pop();
         q.schedule(SimTime::from_secs(5), ());
-    }
-
-    #[test]
-    fn schedule_in_relative() {
-        let mut q = EventQueue::starting_at(SimTime::from_secs(100));
-        q.schedule_in(SimDuration::minutes(2), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(220)));
-    }
-
-    #[test]
-    fn pop_until_respects_deadline() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(10), "early");
-        q.schedule(SimTime::from_secs(100), "late");
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(50)).map(|(_, e)| e),
-            Some("early")
-        );
-        assert_eq!(q.pop_until(SimTime::from_secs(50)), None);
-        // now unchanged by the failed pop
-        assert_eq!(q.now(), SimTime::from_secs(10));
-        assert_eq!(
-            q.pop_until(SimTime::from_secs(100)).map(|(_, e)| e),
-            Some("late")
-        );
     }
 
     #[test]

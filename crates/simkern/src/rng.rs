@@ -126,11 +126,6 @@ impl Rng {
         }
     }
 
-    /// Uniform `f64` in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Uniform `u64` in `[0, n)` using Lemire's rejection method.
     ///
     /// # Panics

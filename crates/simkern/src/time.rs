@@ -191,11 +191,6 @@ impl SimDuration {
         SimDuration(d * 86_400)
     }
 
-    /// Construct from fractional hours, rounding to the nearest second.
-    pub fn hours_f64(h: f64) -> Self {
-        SimDuration((h * 3_600.0).round() as i64)
-    }
-
     /// Raw seconds.
     pub const fn as_secs(self) -> i64 {
         self.0

@@ -174,15 +174,6 @@ impl TimeSeries {
         Ok(out)
     }
 
-    /// Downsample by averaging into fixed buckets of width `bucket`.
-    ///
-    /// # Panics
-    /// Panics if `bucket` is zero.
-    pub fn resample_mean(&self, bucket: SimDuration) -> TimeSeries {
-        self.try_resample_mean(bucket)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Build from an iterator of points, rejecting out-of-order timestamps.
     pub fn try_from_points(
         points: impl IntoIterator<Item = (SimTime, f64)>,
@@ -317,9 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn resample_mean() {
+    fn try_resample_mean_averages_buckets() {
         let s = sample(); // samples every 10 min, values 0..9
-        let r = s.resample_mean(SimDuration::minutes(30));
+        let r = s.try_resample_mean(SimDuration::minutes(30)).unwrap();
         // Buckets: [0,1,2], [3,4,5], [6,7,8], [9].
         assert_eq!(r.len(), 4);
         let vals: Vec<f64> = r.values().collect();
