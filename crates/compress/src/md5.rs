@@ -6,14 +6,6 @@
 //! archive if they differ. We implement it from the RFC so the workload's
 //! verification step is the real computation the hosts performed.
 
-/// Per-round shift amounts.
-const S: [u32; 64] = [
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, //
-    5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, //
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, //
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-];
-
 /// K[i] = floor(2^32 × |sin(i + 1)|, as fixed constants per the RFC.
 const K: [u32; 64] = [
     0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a, 0xa8304613, 0xfd469501,
@@ -56,75 +48,116 @@ impl Md5 {
             self.buffered += take;
             data = &data[take..];
             if self.buffered == 64 {
-                let block = self.buffer;
-                self.process(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.process(&block);
-            data = &data[64..];
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
+        let rest = blocks.remainder();
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
-    }
-
-    fn process(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, w) in m.iter_mut().enumerate() {
-            *w = u32::from_le_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
     }
 
     /// Finish and return the 16-byte digest.
     pub fn finalize(mut self) -> [u8; 16] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Pad: one 0x80 byte, zeros up to 56 mod 64, then the bit length.
+        let n = self.buffered;
+        self.buffer[n] = 0x80;
+        self.buffer[n + 1..].fill(0);
+        if n >= 56 {
+            compress(&mut self.state, &self.buffer);
+            self.buffer = [0u8; 64];
         }
-        // Length goes straight into the buffer tail.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buffer;
-        self.process(&block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_le_bytes());
+        compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 16];
         for (i, w) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
         }
         out
     }
+}
+
+/// The MD5 compression function over one 64-byte block: four rounds of
+/// sixteen steps. Each round has one boolean function, one message-word
+/// order and four shift amounts; a step is
+/// `a = b + ((a + f(b, c, d) + K[i] + m[g(i)]) <<< s)`.
+///
+/// The steps form one long dependency chain through `b`, so each round's
+/// function is written to put as little as possible after `b` is known:
+/// `a + K[i] + m[g(i)]` and the parts of `f` that do not read `b` are
+/// summed first.
+fn compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (w, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_le_bytes(bytes.try_into().expect("4-byte word"));
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    // Sixteen steps of one round, four at a time with the roles of
+    // (a, b, c, d) rotating; `$step` computes one step.
+    macro_rules! round {
+        ($step:ident, $k:expr, $g:expr, [$s0:expr, $s1:expr, $s2:expr, $s3:expr]) => {
+            for j in (0..16).step_by(4) {
+                a = $step(a, b, c, d, K[$k + j].wrapping_add(m[$g[j]]), $s0);
+                d = $step(d, a, b, c, K[$k + j + 1].wrapping_add(m[$g[j + 1]]), $s1);
+                c = $step(c, d, a, b, K[$k + j + 2].wrapping_add(m[$g[j + 2]]), $s2);
+                b = $step(b, c, d, a, K[$k + j + 3].wrapping_add(m[$g[j + 3]]), $s3);
+            }
+        };
+    }
+    round!(step_f, 0, G1, [7, 12, 17, 22]);
+    round!(step_g, 16, G2, [5, 9, 14, 20]);
+    round!(step_h, 32, G3, [4, 11, 16, 23]);
+    round!(step_i, 48, G4, [6, 10, 15, 21]);
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+}
+
+/// Message-word order of each round: `i`, `5i + 1`, `3i + 5` and `7i`
+/// (mod 16) for step `i` of the 64.
+const G1: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15];
+const G2: [usize; 16] = [1, 6, 11, 0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12];
+const G3: [usize; 16] = [5, 8, 11, 14, 1, 4, 7, 10, 13, 0, 3, 6, 9, 12, 15, 2];
+const G4: [usize; 16] = [0, 7, 14, 5, 12, 3, 10, 1, 8, 15, 6, 13, 4, 11, 2, 9];
+
+/// Round 1, `F(b, c, d) = (b ∧ c) ∨ (¬b ∧ d)`, as `d ⊕ (b ∧ (c ⊕ d))`.
+#[inline(always)]
+fn step_f(a: u32, b: u32, c: u32, d: u32, km: u32, s: u32) -> u32 {
+    let f = d ^ (b & (c ^ d));
+    finish(a.wrapping_add(km), f, b, s)
+}
+
+/// Round 2, `G(b, c, d) = (b ∧ d) ∨ (c ∧ ¬d)`: the two terms share no
+/// bits, so they are added, the `c` term before `b` is known.
+#[inline(always)]
+fn step_g(a: u32, b: u32, c: u32, d: u32, km: u32, s: u32) -> u32 {
+    finish(a.wrapping_add(km).wrapping_add(c & !d), b & d, b, s)
+}
+
+/// Round 3, `H(b, c, d) = b ⊕ c ⊕ d`.
+#[inline(always)]
+fn step_h(a: u32, b: u32, c: u32, d: u32, km: u32, s: u32) -> u32 {
+    finish(a.wrapping_add(km), b ^ (c ^ d), b, s)
+}
+
+/// Round 4, `I(b, c, d) = c ⊕ (b ∨ ¬d)`.
+#[inline(always)]
+fn step_i(a: u32, b: u32, c: u32, d: u32, km: u32, s: u32) -> u32 {
+    finish(a.wrapping_add(km), c ^ (b | !d), b, s)
+}
+
+/// `b + ((early + f) <<< s)`, where `early` is everything known before `b`.
+#[inline(always)]
+fn finish(early: u32, f: u32, b: u32, s: u32) -> u32 {
+    early.wrapping_add(f).rotate_left(s).wrapping_add(b)
 }
 
 impl Default for Md5 {
@@ -213,6 +246,38 @@ mod tests {
             h.update(&data[n / 2..]);
             assert_eq!(h.finalize(), digest, "length {n}");
         }
+    }
+
+    #[test]
+    fn padding_boundaries_match_reference_digests() {
+        // 55 bytes pad into one block, 56 force a second block, 64 fill
+        // the first exactly; digests from an independent implementation.
+        let cases = [
+            (55usize, "ef1772b6dff9a122358552954ad0df65"),
+            (56, "3b0c8ac703f828b04c6c197006d17218"),
+            (57, "652b906d60af96844ebd21b674f35e93"),
+            (63, "b06521f39153d618550606be297466d5"),
+            (64, "014842d480b571495a4a0363793f7367"),
+            (65, "c743a45e0d2e6a95cb859adae0248435"),
+            (119, "8a7bd0732ed6a28ce75f6dabc90e1613"),
+            (120, "5f61c0ccad4cac44c75ff505e1f1e537"),
+            (128, "e510683b3f5ffe4093d021808bc6ff70"),
+        ];
+        for (n, want) in cases {
+            assert_eq!(md5_hex(&vec![b'a'; n]), want, "{n} × 'a'");
+        }
+    }
+
+    #[test]
+    fn multi_block_messages_match_reference_digests() {
+        let pattern: Vec<u8> = (0u32..1000).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(md5_hex(&pattern), "d676565de2976219305a8e7e6698b024");
+        // The classic one-million-'a' vector, fed in uneven pieces.
+        let mut h = Md5::new();
+        for piece in vec![b'a'; 1_000_000].chunks(999) {
+            h.update(piece);
+        }
+        assert_eq!(to_hex(&h.finalize()), "7707d6ae4e027c70eea2a935c2296f21");
     }
 
     #[test]

@@ -549,12 +549,13 @@ impl CampaignCtx {
     }
 }
 
-/// Daily-rotated log-file name, e.g. `md5sums-0307.log` — the hosts rotate
-/// their logs at midnight so each collection round only has to rsync the
-/// current day's small files.
+/// Daily-rotated log-file name, e.g. `md5sums-20100307.log` — the hosts
+/// rotate their logs at midnight so each collection round only has to
+/// rsync the current day's small files. The name carries the year, so a
+/// campaign longer than a year never reuses a rotated log's name.
 pub(crate) fn daily_log(prefix: &str, t: SimTime) -> String {
     let d = t.date();
-    format!("{prefix}-{:02}{:02}.log", d.month, d.day)
+    format!("{prefix}-{:04}{:02}{:02}.log", d.year, d.month, d.day)
 }
 
 /// The next Monday at 10:00 at or after `t` (staff-visit cadence).
@@ -598,8 +599,25 @@ mod tests {
     #[test]
     fn daily_log_rotates_by_date() {
         let t = SimTime::from_ymd_hms(2010, 3, 7, 4, 40, 0);
-        assert_eq!(daily_log("md5sums", t), "md5sums-0307.log");
-        assert_eq!(daily_log("sensors", t), "sensors-0307.log");
+        assert_eq!(daily_log("md5sums", t), "md5sums-20100307.log");
+        assert_eq!(daily_log("sensors", t), "sensors-20100307.log");
+    }
+
+    #[test]
+    fn a_366_day_campaign_never_reuses_a_log_name() {
+        // The spec admits campaigns of up to 366 days; the same calendar
+        // day a year apart must still get a fresh log.
+        let mut cfg = ExperimentConfig::short(1, 1);
+        cfg.end = cfg.start + SimDuration::days(366);
+        let mut names = std::collections::BTreeSet::new();
+        let mut t = cfg.start;
+        let mut days = 0;
+        while t <= cfg.end {
+            assert!(names.insert(daily_log("md5sums", t)), "reused on {t}");
+            t += SimDuration::days(1);
+            days += 1;
+        }
+        assert_eq!(days, 367);
     }
 
     #[test]

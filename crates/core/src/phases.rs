@@ -26,7 +26,7 @@
 
 use frostlab_faults::repair::RepairAction;
 use frostlab_faults::types::{FaultEvent, FaultKind, HostId};
-use frostlab_simkern::time::{SimDuration, SimTime};
+use frostlab_simkern::time::{Date, SimDuration, SimTime};
 use frostlab_trace::FieldValue;
 use frostlab_workload::stats::Placement;
 
@@ -328,6 +328,10 @@ impl TickPhase for ScriptPhase {
 /// field access. All scratch (the deferred hang/withdrawal lists, the log
 /// line buffer, the day-cached log file names) is phase-owned and reused,
 /// so the hot loop performs zero heap allocations per tick.
+///
+/// The hosts rotate their logs at midnight: on the first tick of each
+/// date the phase seals every store's open logs (once per host per day,
+/// not per append), so the collector can retire them once synced.
 #[derive(Debug)]
 pub struct HostStepPhase {
     next_fault_poll: SimTime,
@@ -336,7 +340,7 @@ pub struct HostStepPhase {
     line_buf: String,
     sensors_log: String,
     md5sums_log: String,
-    log_day: (u32, u32),
+    log_day: Option<Date>,
 }
 
 impl HostStepPhase {
@@ -349,7 +353,7 @@ impl HostStepPhase {
             line_buf: String::new(),
             sensors_log: String::new(),
             md5sums_log: String::new(),
-            log_day: (0, 0),
+            log_day: None,
         }
     }
 }
@@ -369,12 +373,16 @@ impl TickPhase for HostStepPhase {
         let sensor_log_interval = ctx.cfg.sensor_log_interval;
         let poll_hours = ctx.cfg.fault_poll_interval.as_secs() as f64 / 3600.0;
 
-        // Daily-rotated log names, recomputed only when the date rolls.
+        // Daily-rotated logs: when the date rolls, seal yesterday's files
+        // and recompute today's names.
         let d = t.date();
-        if self.log_day != (d.month, d.day) {
-            self.log_day = (d.month, d.day);
+        if self.log_day != Some(d) {
+            self.log_day = Some(d);
             self.sensors_log = daily_log("sensors", t);
             self.md5sums_log = daily_log("md5sums", t);
+            for store in &mut ctx.fleet.stores {
+                store.rotate();
+            }
         }
 
         // Borrow the context once into disjoint pieces; the fleet columns
@@ -454,7 +462,9 @@ impl TickPhase for HostStepPhase {
                         encl.air_rh_pct
                     ),
                 };
-                stores[i].append(&self.sensors_log, self.line_buf.as_bytes());
+                stores[i]
+                    .append(&self.sensors_log, self.line_buf.as_bytes())
+                    .expect(LOG_NAMES_ARE_DATED);
                 next_sensor_log[i] = t + sensor_log_interval;
             }
 
@@ -527,7 +537,9 @@ impl TickPhase for HostStepPhase {
                 }
                 self.line_buf.clear();
                 let _ = writeln!(self.line_buf, "{} {} run", t.datetime(), outcome.hash);
-                stores[i].append(&self.md5sums_log, self.line_buf.as_bytes());
+                stores[i]
+                    .append(&self.md5sums_log, self.line_buf.as_bytes())
+                    .expect(LOG_NAMES_ARE_DATED);
                 if !outcome.hash_ok {
                     workload.record_hash_error(plans[i].id, placement[i], t);
                     if let Some(bytes) = outcome.stored_archive {
@@ -573,12 +585,30 @@ impl TickPhase for HostStepPhase {
     }
 }
 
+/// Why a rotated log can never be appended to again: [`daily_log`] names
+/// carry the full date, and a date never recurs.
+const LOG_NAMES_ARE_DATED: &str = "daily log names carry the date, so no rotated log is reused";
+
 /// Step 6: the scheduled collection round with the watchdog's staleness
 /// sweep, then catch-up retries with backoff for hosts whose mirror is
 /// stale.
 #[derive(Debug)]
 pub struct CollectionPhase {
     next_round: SimTime,
+    /// Per host, in fleet order: the watchdog subjects the staleness sweep
+    /// reads, built once on the first round.
+    subjects: Vec<StalenessSubjects>,
+}
+
+/// The watchdog subjects one host's staleness check consults.
+#[derive(Debug)]
+struct StalenessSubjects {
+    /// `host-{id}`: an open host incident explains a stale mirror.
+    host: String,
+    /// `switch-{n}` for a tent host: so does its switch being down.
+    switch: Option<String>,
+    /// `host-{id}/collection`: the staleness alarm itself.
+    collection: String,
 }
 
 impl CollectionPhase {
@@ -586,6 +616,7 @@ impl CollectionPhase {
     pub fn new(cfg: &ExperimentConfig) -> CollectionPhase {
         CollectionPhase {
             next_round: cfg.start + cfg.collection_interval,
+            subjects: Vec::new(),
         }
     }
 }
@@ -598,6 +629,19 @@ impl TickPhase for CollectionPhase {
     fn step(&mut self, ctx: &mut CampaignCtx) {
         let t = ctx.now;
         if t >= self.next_round {
+            if self.subjects.is_empty() {
+                self.subjects = ctx
+                    .fleet
+                    .plans
+                    .iter()
+                    .map(|p| StalenessSubjects {
+                        host: format!("host-{}", p.id),
+                        switch: (p.placement == Placement::Tent)
+                            .then(|| format!("switch-{}", switch_assignment(p.id))),
+                        collection: format!("host-{}/collection", p.id),
+                    })
+                    .collect();
+            }
             for idx in 0..ctx.fleet.len() {
                 if !ctx.fleet.installed(idx, t) {
                     continue;
@@ -609,14 +653,15 @@ impl TickPhase for CollectionPhase {
                     .collect(&mut ctx.fleet.stores[idx], reachable, t);
                 // Staleness check: alarm only when nothing else (an open
                 // switch or host incident) already explains the gap.
-                let id = ctx.fleet.plans[idx].id;
-                let explained = ctx.watchdog.is_open(&format!("host-{id}"))
-                    || (ctx.fleet.placement[idx] == Placement::Tent
-                        && ctx
-                            .watchdog
-                            .is_open(&format!("switch-{}", switch_assignment(id))));
-                let staleness = ctx.collector.staleness(id, t);
-                ctx.watchdog.observe_staleness(id, staleness, explained, t);
+                let subjects = &self.subjects[idx];
+                let explained = ctx.watchdog.is_open(&subjects.host)
+                    || subjects
+                        .switch
+                        .as_ref()
+                        .is_some_and(|switch| ctx.watchdog.is_open(switch));
+                let staleness = ctx.collector.staleness(ctx.fleet.plans[idx].id, t);
+                ctx.watchdog
+                    .observe_staleness(&subjects.collection, staleness, explained, t);
             }
             self.next_round = t + ctx.cfg.collection_interval;
         }

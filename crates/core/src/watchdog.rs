@@ -166,24 +166,24 @@ impl Watchdog {
         self.open.len()
     }
 
-    /// Feed the per-host staleness observed at a collection round. Opens a
+    /// Feed the per-host staleness observed at a collection round, under
+    /// the host's alarm subject (`host-{id}/collection`). Opens a
     /// [`IncidentKind::CollectionStale`] incident when a host's mirror ages
     /// past the threshold *and* nothing else already explains it (an open
     /// switch or host incident covering this host); resolves the alarm when
     /// the mirror freshens again.
     pub fn observe_staleness(
         &mut self,
-        host: u32,
+        subject: &str,
         staleness: Option<SimDuration>,
         explained: bool,
         now: SimTime,
     ) {
-        let subject = format!("host-{host}/collection");
         let stale = staleness.is_some_and(|s| s > self.staleness_threshold);
         if stale && !explained {
-            self.open(IncidentKind::CollectionStale, &subject, now);
+            self.open(IncidentKind::CollectionStale, subject, now);
         } else if !stale {
-            self.resolve(&subject, now, "mirror caught up");
+            self.resolve(subject, now, "mirror caught up");
         }
     }
 
@@ -248,13 +248,28 @@ mod tests {
     fn staleness_alarm_respects_explanations() {
         let mut w = Watchdog::new();
         // Stale but explained by an open switch incident: no alarm.
-        w.observe_staleness(3, Some(SimDuration::minutes(90)), true, t(1000));
+        w.observe_staleness(
+            "host-3/collection",
+            Some(SimDuration::minutes(90)),
+            true,
+            t(1000),
+        );
         assert_eq!(w.incidents().len(), 0);
         // Stale and unexplained: alarm opens.
-        w.observe_staleness(3, Some(SimDuration::minutes(90)), false, t(2000));
+        w.observe_staleness(
+            "host-3/collection",
+            Some(SimDuration::minutes(90)),
+            false,
+            t(2000),
+        );
         assert!(w.is_open("host-3/collection"));
         // Mirror freshens: alarm resolves.
-        w.observe_staleness(3, Some(SimDuration::minutes(5)), false, t(3000));
+        w.observe_staleness(
+            "host-3/collection",
+            Some(SimDuration::minutes(5)),
+            false,
+            t(3000),
+        );
         assert!(!w.is_open("host-3/collection"));
         let i = &w.incidents()[0];
         assert_eq!(i.kind, IncidentKind::CollectionStale);
@@ -264,8 +279,13 @@ mod tests {
     #[test]
     fn fresh_or_unknown_hosts_raise_nothing() {
         let mut w = Watchdog::new();
-        w.observe_staleness(7, None, false, t(0));
-        w.observe_staleness(7, Some(SimDuration::minutes(20)), false, t(0));
+        w.observe_staleness("host-7/collection", None, false, t(0));
+        w.observe_staleness(
+            "host-7/collection",
+            Some(SimDuration::minutes(20)),
+            false,
+            t(0),
+        );
         assert!(w.incidents().is_empty());
     }
 

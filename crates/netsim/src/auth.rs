@@ -9,6 +9,13 @@
 //! broken; the module exists so the simulated collector performs the same
 //! message round-trips (and failure modes: wrong key → rejected session) as
 //! the real pipeline, with deterministic, dependency-free arithmetic.
+//!
+//! Each side derives the shared secret once per peer key and keeps it
+//! (see [`KeyPair::shared_secret`]): a 20-minute collector would
+//! otherwise pay two modular exponentiations per host per round for a
+//! value that never changes. The nonce and the proof stay per session.
+
+use std::collections::HashMap;
 
 use frostlab_compress::md5::md5;
 use frostlab_simkern::rng::Rng;
@@ -37,13 +44,15 @@ pub fn pow_mod(mut base: u64, mut exp: u64) -> u64 {
     acc
 }
 
-/// A host's identity keypair.
+/// A host's identity keypair, with the shared secrets it has derived.
 #[derive(Debug, Clone)]
 pub struct KeyPair {
     /// Secret exponent.
     secret: u64,
     /// Public value `g^secret mod p`.
     pub public: u64,
+    /// Shared secret per peer public key.
+    shared: HashMap<u64, u64>,
 }
 
 impl KeyPair {
@@ -53,12 +62,18 @@ impl KeyPair {
         KeyPair {
             secret,
             public: pow_mod(G, secret),
+            shared: HashMap::new(),
         }
     }
 
-    /// Shared secret with a peer's public value.
-    pub fn shared_secret(&self, peer_public: u64) -> u64 {
-        pow_mod(peer_public, self.secret)
+    /// Shared secret with a peer's public value, derived on first use and
+    /// kept for later sessions with the same peer.
+    pub fn shared_secret(&mut self, peer_public: u64) -> u64 {
+        let secret = self.secret;
+        *self
+            .shared
+            .entry(peer_public)
+            .or_insert_with(|| pow_mod(peer_public, secret))
     }
 }
 
@@ -111,7 +126,7 @@ impl Acceptor {
 
     /// Verify a client's handshake.
     pub fn verify(
-        &self,
+        &mut self,
         client_public: u64,
         nonce: u64,
         client_proof: [u8; 16],
@@ -130,7 +145,7 @@ impl Acceptor {
 
 /// Run the whole four-message handshake between a client keypair and an
 /// acceptor, as the collector does before each transfer.
-pub fn handshake(client: &KeyPair, server: &mut Acceptor) -> HandshakeResult {
+pub fn handshake(client: &mut KeyPair, server: &mut Acceptor) -> HandshakeResult {
     // 1. client hello: client's public key. 2. server hello + challenge.
     let nonce = server.challenge();
     // 3. client proof over the shared secret.
@@ -147,28 +162,32 @@ mod tests {
     #[test]
     fn dh_shared_secret_agrees() {
         let mut rng = Rng::new(11);
-        let a = KeyPair::generate(&mut rng);
-        let b = KeyPair::generate(&mut rng);
-        assert_eq!(a.shared_secret(b.public), b.shared_secret(a.public));
+        let mut a = KeyPair::generate(&mut rng);
+        let mut b = KeyPair::generate(&mut rng);
+        let (a_pub, b_pub) = (a.public, b.public);
+        assert_eq!(a.shared_secret(b_pub), b.shared_secret(a_pub));
         assert_ne!(a.public, b.public);
     }
 
     #[test]
     fn authorized_client_accepted() {
         let mut rng = Rng::new(12);
-        let client = KeyPair::generate(&mut rng);
+        let mut client = KeyPair::generate(&mut rng);
         let mut server = Acceptor::new(&mut rng, vec![client.public]);
-        assert_eq!(handshake(&client, &mut server), HandshakeResult::Accepted);
+        assert_eq!(
+            handshake(&mut client, &mut server),
+            HandshakeResult::Accepted
+        );
     }
 
     #[test]
     fn unknown_key_rejected() {
         let mut rng = Rng::new(13);
         let client = KeyPair::generate(&mut rng);
-        let stranger = KeyPair::generate(&mut rng);
+        let mut stranger = KeyPair::generate(&mut rng);
         let mut server = Acceptor::new(&mut rng, vec![client.public]);
         assert_eq!(
-            handshake(&stranger, &mut server),
+            handshake(&mut stranger, &mut server),
             HandshakeResult::UnknownKey
         );
     }
@@ -177,12 +196,53 @@ mod tests {
     fn wrong_secret_rejected() {
         let mut rng = Rng::new(14);
         let client = KeyPair::generate(&mut rng);
-        let imposter = KeyPair {
+        let mut imposter = KeyPair {
             secret: client.secret ^ 0xDEAD,
             public: client.public, // claims the same identity
+            shared: HashMap::new(),
         };
         let mut server = Acceptor::new(&mut rng, vec![client.public]);
-        assert_eq!(handshake(&imposter, &mut server), HandshakeResult::BadProof);
+        assert_eq!(
+            handshake(&mut imposter, &mut server),
+            HandshakeResult::BadProof
+        );
+    }
+
+    #[test]
+    fn cached_secrets_keep_every_verdict() {
+        // Sessions after the first reuse both sides' derived secret; the
+        // verdicts, and the rejection of an imposter presenting an
+        // accepted key, stay what the first session gave.
+        let mut rng = Rng::new(16);
+        let mut client = KeyPair::generate(&mut rng);
+        let mut stranger = KeyPair::generate(&mut rng);
+        let mut server = Acceptor::new(&mut rng, vec![client.public]);
+        let mut imposter = KeyPair {
+            secret: client.secret ^ 0xBEEF,
+            public: client.public,
+            shared: HashMap::new(),
+        };
+        for _ in 0..3 {
+            assert_eq!(
+                handshake(&mut client, &mut server),
+                HandshakeResult::Accepted
+            );
+            assert_eq!(
+                handshake(&mut imposter, &mut server),
+                HandshakeResult::BadProof
+            );
+            assert_eq!(
+                handshake(&mut stranger, &mut server),
+                HandshakeResult::UnknownKey
+            );
+        }
+        // One derived secret per peer on each side; none for the unknown key.
+        assert_eq!(client.shared.len(), 1);
+        assert_eq!(server.keys.shared.len(), 1);
+        assert_eq!(
+            client.shared[&server.public()],
+            pow_mod(server.public(), client.secret)
+        );
     }
 
     #[test]

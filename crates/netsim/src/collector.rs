@@ -9,7 +9,10 @@
 //! [`Collector`] mirrors each host's little log directory. A round against
 //! one host: authenticate ([`crate::auth`]), exchange rsync signatures and
 //! deltas per file ([`crate::rsyncp`]), update the mirror, account the
-//! literal bytes that crossed the wire.
+//! literal bytes that crossed the wire. The mirror is signature state, not
+//! bytes, and a rotated log that the round has synced is retired to
+//! `(name, len)` on both the host and the collector, so later rounds visit
+//! only the live logs.
 //!
 //! When a host cannot be reached (§4.2.1's switch deaths, a hung machine)
 //! the round records an [`CollectOutcome::Unreachable`] outcome carrying the
@@ -35,12 +38,71 @@ use crate::rsyncp;
 pub const RSYNC_BLOCK: usize = 512;
 
 /// A monitored host's log store plus its SSH acceptor.
+///
+/// Logs are append-only and rotate: [`MonitoredHost::rotate`] seals every
+/// open log, and a sealed log takes no further appends. Once the collector
+/// has synced a sealed log it retires it, and the store keeps only the
+/// log's name and length.
 #[derive(Debug, Clone)]
 pub struct MonitoredHost {
     /// Paper host number.
     pub id: u32,
-    files: BTreeMap<String, Vec<u8>>,
+    /// Logs that take appends.
+    open: Vec<LogFile>,
+    /// Rotated logs not yet synced since their last append.
+    sealed: Vec<LogFile>,
+    /// Retired logs: name → length.
+    retired: BTreeMap<String, usize>,
     acceptor: Acceptor,
+}
+
+/// One log file's name and content.
+#[derive(Debug, Clone)]
+struct LogFile {
+    name: String,
+    bytes: Vec<u8>,
+}
+
+/// An append to a log that has already been rotated.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedLog {
+    /// The rotated log's name.
+    pub name: String,
+}
+
+impl std::fmt::Display for SealedLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "log {:?} was rotated and takes no appends", self.name)
+    }
+}
+
+impl std::error::Error for SealedLog {}
+
+/// What a log store or a mirror keeps in memory, against what it has
+/// logged or synced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Footprint {
+    /// Files still holding content: open or sealed logs in a store, files
+    /// with signature state in a mirror.
+    pub held_files: usize,
+    /// Content bytes those files hold (a mirror holds only the bytes past
+    /// each file's last full rsync block).
+    pub held_bytes: usize,
+    /// Files retired to `(name, len)`.
+    pub retired_files: usize,
+    /// Length of every file, retired ones included.
+    pub logged_bytes: usize,
+}
+
+impl std::iter::Sum for Footprint {
+    fn sum<I: Iterator<Item = Footprint>>(iter: I) -> Footprint {
+        iter.fold(Footprint::default(), |a, b| Footprint {
+            held_files: a.held_files + b.held_files,
+            held_bytes: a.held_bytes + b.held_bytes,
+            retired_files: a.retired_files + b.retired_files,
+            logged_bytes: a.logged_bytes + b.logged_bytes,
+        })
+    }
 }
 
 impl MonitoredHost {
@@ -49,30 +111,109 @@ impl MonitoredHost {
     pub fn new(id: u32, rng: &mut Rng, authorized: Vec<u64>) -> Self {
         MonitoredHost {
             id,
-            files: BTreeMap::new(),
+            open: Vec::new(),
+            sealed: Vec::new(),
+            retired: BTreeMap::new(),
             acceptor: Acceptor::new(rng, authorized),
         }
     }
 
-    /// Append bytes to a log file (md5sum log, sensor log, …).
-    pub fn append(&mut self, file: &str, bytes: &[u8]) {
-        // Look up before inserting: the common case is an existing file,
-        // and `entry` would allocate a key String on every append.
-        if let Some(content) = self.files.get_mut(file) {
-            content.extend_from_slice(bytes);
-        } else {
-            self.files.insert(file.to_string(), bytes.to_vec());
+    /// Append bytes to a log file (md5sum log, sensor log, …), creating it
+    /// if it does not exist. A rotated log takes no appends.
+    pub fn append(&mut self, file: &str, bytes: &[u8]) -> Result<(), SealedLog> {
+        if let Some(log) = self.open.iter_mut().find(|log| log.name == file) {
+            log.bytes.extend_from_slice(bytes);
+            return Ok(());
+        }
+        if self.sealed.iter().any(|log| log.name == file) || self.retired.contains_key(file) {
+            return Err(SealedLog {
+                name: file.to_string(),
+            });
+        }
+        self.open.push(LogFile {
+            name: file.to_string(),
+            bytes: bytes.to_vec(),
+        });
+        Ok(())
+    }
+
+    /// Rotate: seal every open log. Later appends go to new files.
+    pub fn rotate(&mut self) {
+        self.sealed.append(&mut self.open);
+    }
+
+    /// What the store holds.
+    pub fn footprint(&self) -> Footprint {
+        let held = self.open.iter().chain(&self.sealed);
+        let held_bytes: usize = held.clone().map(|log| log.bytes.len()).sum();
+        Footprint {
+            held_files: held.count(),
+            held_bytes,
+            retired_files: self.retired.len(),
+            logged_bytes: held_bytes + self.retired.values().sum::<usize>(),
         }
     }
 
-    /// Current content of a file.
-    pub fn file(&self, file: &str) -> Option<&[u8]> {
-        self.files.get(file).map(|v| v.as_slice())
+    /// Current content of a file that still holds its bytes.
+    #[cfg(test)]
+    fn file(&self, file: &str) -> Option<&[u8]> {
+        self.open
+            .iter()
+            .chain(&self.sealed)
+            .find(|log| log.name == file)
+            .map(|log| log.bytes.as_slice())
+    }
+}
+
+/// The collector's view of one host: signature state per file being
+/// synced, `(name, len)` per retired file.
+#[derive(Debug, Default)]
+struct HostMirror {
+    live: Vec<(String, rsyncp::CachedSync)>,
+    retired: Vec<(String, usize)>,
+}
+
+impl HostMirror {
+    /// rsync one file; returns its literal bytes, or `None` when the quick
+    /// check skips it.
+    fn sync(&mut self, log: &LogFile) -> Option<usize> {
+        // rsync's quick check: skip files whose size matches the mirror
+        // (the hosts' logs are append-only, so a same-size file is an
+        // unchanged file).
+        let mirror = match self.live.iter().position(|(name, _)| *name == log.name) {
+            Some(pos) => {
+                let m = &mut self.live[pos].1;
+                if m.synced_len() == log.bytes.len() {
+                    return None;
+                }
+                m
+            }
+            None => {
+                self.live
+                    .push((log.name.clone(), rsyncp::CachedSync::new(RSYNC_BLOCK)));
+                &mut self.live.last_mut().expect("just pushed").1
+            }
+        };
+        Some(mirror.sync_from(&log.bytes).literal_bytes())
     }
 
-    /// File names present.
-    pub fn file_names(&self) -> Vec<String> {
-        self.files.keys().cloned().collect()
+    /// Drop a synced file's signature state, keeping `(name, len)`.
+    fn retire(&mut self, file: &str) {
+        if let Some(pos) = self.live.iter().position(|(name, _)| name == file) {
+            let (name, mirror) = self.live.swap_remove(pos);
+            self.retired.push((name, mirror.synced_len()));
+        }
+    }
+
+    fn footprint(&self) -> Footprint {
+        let held = self.live.iter().map(|(_, m)| m);
+        let retired_bytes: usize = self.retired.iter().map(|(_, len)| len).sum();
+        Footprint {
+            held_files: self.live.len(),
+            held_bytes: held.clone().map(|m| m.held_bytes()).sum(),
+            retired_files: self.retired.len(),
+            logged_bytes: retired_bytes + held.map(|m| m.synced_len()).sum::<usize>(),
+        }
     }
 }
 
@@ -197,7 +338,7 @@ pub struct Collector {
     pub interval: SimDuration,
     /// Catch-up retry schedule.
     pub retry: RetryPolicy,
-    mirrors: BTreeMap<u32, BTreeMap<String, rsyncp::CachedSync>>,
+    mirrors: BTreeMap<u32, HostMirror>,
     history: Vec<CollectRecord>,
     /// Root of the per-host jitter streams (derived, so creating it does not
     /// perturb the caller's RNG draws).
@@ -226,9 +367,18 @@ impl Collector {
         }
     }
 
-    /// The mirror of one host's file, as of the last successful round.
-    pub fn mirrored(&self, host: u32, file: &str) -> Option<&[u8]> {
-        self.mirrors.get(&host)?.get(file).map(|m| m.data())
+    /// What the mirrors of every host hold.
+    pub fn footprint(&self) -> Footprint {
+        self.mirrors.values().map(HostMirror::footprint).sum()
+    }
+
+    /// The signature state of one host's file, as of the last successful
+    /// round.
+    #[cfg(test)]
+    fn mirror_signature(&self, host: u32, file: &str) -> Option<rsyncp::Signature> {
+        let mirror = self.mirrors.get(&host)?;
+        let (_, m) = mirror.live.iter().find(|(name, _)| name == file)?;
+        Some(m.signature())
     }
 
     /// All attempts so far.
@@ -316,25 +466,22 @@ impl Collector {
             let gap = self.staleness(host.id, at).unwrap_or(SimDuration::ZERO);
             CollectOutcome::Unreachable { gap }
         } else {
-            match handshake(&self.key, &mut host.acceptor) {
+            match handshake(&mut self.key, &mut host.acceptor) {
                 HandshakeResult::Accepted => {
                     let mirror = self.mirrors.entry(host.id).or_default();
                     let mut files_updated = 0usize;
                     let mut literal_bytes = 0usize;
-                    for (name, content) in &host.files {
-                        // rsync's quick check: skip files whose size matches
-                        // the mirror (the hosts' logs are append-only, so a
-                        // same-size file is an unchanged file).
-                        let old_len = mirror.get(name).map(|m| m.data().len());
-                        if old_len == Some(content.len()) {
-                            continue;
+                    for log in host.open.iter().chain(&host.sealed) {
+                        if let Some(shipped) = mirror.sync(log) {
+                            literal_bytes += shipped;
+                            files_updated += 1;
                         }
-                        let entry = mirror
-                            .entry(name.clone())
-                            .or_insert_with(|| rsyncp::CachedSync::new(RSYNC_BLOCK));
-                        let delta = entry.sync_from(content);
-                        literal_bytes += delta.literal_bytes();
-                        files_updated += 1;
+                    }
+                    // Sealed logs are now synced after their last append:
+                    // retire them on both sides.
+                    for log in host.sealed.drain(..) {
+                        mirror.retire(&log.name);
+                        host.retired.insert(log.name, log.bytes.len());
                     }
                     CollectOutcome::Success {
                         files_updated,
@@ -415,6 +562,11 @@ impl Collector {
 mod tests {
     use super::*;
 
+    /// The signature of `bytes`: what a mirror of them must hold.
+    fn sig(bytes: &[u8]) -> Option<rsyncp::Signature> {
+        Some(rsyncp::signature(bytes, RSYNC_BLOCK))
+    }
+
     fn setup() -> (Collector, MonitoredHost) {
         let mut rng = Rng::new(20);
         let collector = Collector::new(&mut rng);
@@ -428,7 +580,8 @@ mod tests {
         h.append(
             "md5sums.log",
             b"0cc175b9c0f1b6a831c399e269772661 run-0001\n",
-        );
+        )
+        .unwrap();
         let out = c.collect(&mut h, true, SimTime::from_secs(1200));
         match out {
             CollectOutcome::Success {
@@ -441,15 +594,16 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert_eq!(
-            c.mirrored(15, "md5sums.log").unwrap(),
-            h.file("md5sums.log").unwrap()
+            c.mirror_signature(15, "md5sums.log"),
+            sig(h.file("md5sums.log").unwrap())
         );
     }
 
     #[test]
     fn unchanged_files_cost_nothing() {
         let (mut c, mut h) = setup();
-        h.append("sensors.log", b"temp=-4.0 rh=35\n".repeat(50).as_slice());
+        h.append("sensors.log", b"temp=-4.0 rh=35\n".repeat(50).as_slice())
+            .unwrap();
         c.collect(&mut h, true, SimTime::from_secs(1200));
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         assert_eq!(
@@ -464,9 +618,10 @@ mod tests {
     #[test]
     fn appended_lines_ship_small_deltas() {
         let (mut c, mut h) = setup();
-        h.append("md5sums.log", b"x".repeat(4096).as_slice());
+        h.append("md5sums.log", b"x".repeat(4096).as_slice())
+            .unwrap();
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", b"one new line\n");
+        h.append("md5sums.log", b"one new line\n").unwrap();
         let out = c.collect(&mut h, true, SimTime::from_secs(2400));
         match out {
             CollectOutcome::Success { literal_bytes, .. } => {
@@ -482,9 +637,9 @@ mod tests {
     #[test]
     fn unreachable_leaves_mirror_stale_and_reports_gap() {
         let (mut c, mut h) = setup();
-        h.append("md5sums.log", b"before-failure\n");
+        h.append("md5sums.log", b"before-failure\n").unwrap();
         c.collect(&mut h, true, SimTime::from_secs(1200));
-        h.append("md5sums.log", b"during-switch-outage\n");
+        h.append("md5sums.log", b"during-switch-outage\n").unwrap();
         let out = c.collect(&mut h, false, SimTime::from_secs(2400));
         assert_eq!(
             out,
@@ -493,7 +648,10 @@ mod tests {
             },
             "gap measured from the last good round"
         );
-        assert_eq!(c.mirrored(15, "md5sums.log").unwrap(), b"before-failure\n");
+        assert_eq!(
+            c.mirror_signature(15, "md5sums.log"),
+            sig(b"before-failure\n")
+        );
         assert_eq!(
             c.staleness(15, SimTime::from_secs(3000)),
             Some(SimDuration::secs(1800))
@@ -508,8 +666,8 @@ mod tests {
             }
         ));
         assert_eq!(
-            c.mirrored(15, "md5sums.log").unwrap(),
-            b"before-failure\nduring-switch-outage\n"
+            c.mirror_signature(15, "md5sums.log"),
+            sig(b"before-failure\nduring-switch-outage\n")
         );
         // …and the healed outage is on the books.
         assert_eq!(c.gaps().len(), 1);
@@ -524,7 +682,7 @@ mod tests {
     #[test]
     fn retries_back_off_exponentially_with_jitter() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", b"x").unwrap();
         let mut at = SimTime::from_secs(0);
         let mut delays = Vec::new();
         for _ in 0..6 {
@@ -572,7 +730,7 @@ mod tests {
     #[test]
     fn successful_retry_clears_backoff_state() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", b"x").unwrap();
         c.collect(&mut h, false, SimTime::from_secs(0));
         assert_eq!(c.due_retries(SimTime::from_secs(600)), vec![15]);
         let out = c.retry_collect(&mut h, true, SimTime::from_secs(600));
@@ -591,10 +749,10 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         // Host authorizes some other key.
         let mut h = MonitoredHost::new(3, &mut rng, vec![12345]);
-        h.append("f", b"data");
+        h.append("f", b"data").unwrap();
         let out = c.collect(&mut h, true, SimTime::from_secs(0));
         assert_eq!(out, CollectOutcome::AuthFailed(HandshakeResult::UnknownKey));
-        assert!(c.mirrored(3, "f").is_none());
+        assert!(c.mirror_signature(3, "f").is_none());
         // Auth failures also enter the retry schedule (the operators would
         // investigate, but the collector keeps knocking).
         assert!(c.next_retry(3).is_some());
@@ -603,7 +761,7 @@ mod tests {
     #[test]
     fn availability_counts_scheduled_rounds_only() {
         let (mut c, mut h) = setup();
-        h.append("f", b"x");
+        h.append("f", b"x").unwrap();
         c.collect(&mut h, true, SimTime::from_secs(0));
         c.collect(&mut h, false, SimTime::from_secs(1200));
         // A failed catch-up retry must not dilute cadence availability.
@@ -620,14 +778,102 @@ mod tests {
         let mut c = Collector::new(&mut rng);
         let mut h1 = MonitoredHost::new(1, &mut rng, vec![c.key.public]);
         let mut h2 = MonitoredHost::new(2, &mut rng, vec![c.key.public]);
-        h1.append("md5sums.log", b"aaa\n");
-        h1.append("sensors.log", b"t=-5\n");
-        h2.append("md5sums.log", b"bbb\n");
+        h1.append("md5sums.log", b"aaa\n").unwrap();
+        h1.append("sensors.log", b"t=-5\n").unwrap();
+        h2.append("md5sums.log", b"bbb\n").unwrap();
         c.collect(&mut h1, true, SimTime::from_secs(0));
         c.collect(&mut h2, true, SimTime::from_secs(0));
-        assert_eq!(c.mirrored(1, "md5sums.log").unwrap(), b"aaa\n");
-        assert_eq!(c.mirrored(1, "sensors.log").unwrap(), b"t=-5\n");
-        assert_eq!(c.mirrored(2, "md5sums.log").unwrap(), b"bbb\n");
-        assert!(c.mirrored(2, "sensors.log").is_none());
+        assert_eq!(c.mirror_signature(1, "md5sums.log"), sig(b"aaa\n"));
+        assert_eq!(c.mirror_signature(1, "sensors.log"), sig(b"t=-5\n"));
+        assert_eq!(c.mirror_signature(2, "md5sums.log"), sig(b"bbb\n"));
+        assert!(c.mirror_signature(2, "sensors.log").is_none());
+    }
+
+    #[test]
+    fn rotated_logs_retire_once_synced() {
+        let (mut c, mut h) = setup();
+        h.append("md5sums-20100307.log", b"day one\n").unwrap();
+        c.collect(&mut h, true, SimTime::from_secs(0));
+        h.append("md5sums-20100307.log", b"last line of day one\n")
+            .unwrap();
+        h.rotate();
+        h.append("md5sums-20100308.log", b"day two\n").unwrap();
+        // A rotated log takes no appends, before or after retirement.
+        let sealed = Err(SealedLog {
+            name: "md5sums-20100307.log".to_string(),
+        });
+        assert_eq!(h.append("md5sums-20100307.log", b"late\n"), sealed);
+        // Unreachable: the sealed log keeps its bytes until it is synced.
+        c.collect(&mut h, false, SimTime::from_secs(1200));
+        assert_eq!(h.footprint().held_files, 2);
+        let out = c.collect(&mut h, true, SimTime::from_secs(2400));
+        assert_eq!(
+            out,
+            CollectOutcome::Success {
+                files_updated: 2,
+                literal_bytes: 29 + 8
+            }
+        );
+        let day_one = 8 + 21;
+        assert_eq!(
+            h.footprint(),
+            Footprint {
+                held_files: 1,
+                held_bytes: 8,
+                retired_files: 1,
+                logged_bytes: day_one + 8,
+            }
+        );
+        assert_eq!(c.footprint(), h.footprint());
+        assert!(c.mirror_signature(15, "md5sums-20100307.log").is_none());
+        assert_eq!(h.append("md5sums-20100307.log", b"late\n"), sealed);
+        // The next round visits the open log only, and finds it unchanged.
+        let out = c.collect(&mut h, true, SimTime::from_secs(3600));
+        assert_eq!(
+            out,
+            CollectOutcome::Success {
+                files_updated: 0,
+                literal_bytes: 0
+            }
+        );
+    }
+
+    #[test]
+    fn rotation_does_not_change_what_a_round_ships() {
+        // Rotating and retiring only drops state the quick check would have
+        // skipped anyway: every round's outcome matches a store that keeps
+        // every log open.
+        let mut rng = Rng::new(23);
+        let mut c_rot = Collector::new(&mut rng);
+        let mut c_all = Collector::new(&mut rng);
+        let mut rotating = MonitoredHost::new(4, &mut rng, vec![c_rot.key.public]);
+        let mut keeping = MonitoredHost::new(4, &mut rng, vec![c_all.key.public]);
+        for round in 0..200u32 {
+            let day = round / 24;
+            if round % 24 == 0 {
+                rotating.rotate();
+            }
+            let line = format!("{round:06} cpu=41.5 rh=35\n").repeat(1 + round as usize % 7);
+            for h in [&mut rotating, &mut keeping] {
+                h.append(&format!("sensors-{day}.log"), line.as_bytes())
+                    .unwrap();
+                if round % 3 == 0 {
+                    h.append(&format!("md5sums-{day}.log"), b"d41d8cd9 run\n")
+                        .unwrap();
+                }
+            }
+            let at = SimTime::from_secs(i64::from(round) * 1200);
+            let reachable = round % 11 != 5;
+            assert_eq!(
+                c_rot.collect(&mut rotating, reachable, at),
+                c_all.collect(&mut keeping, reachable, at),
+                "round {round}"
+            );
+        }
+        let (rot, all) = (rotating.footprint(), keeping.footprint());
+        assert_eq!(rot.logged_bytes, all.logged_bytes);
+        assert!(rot.held_files <= 2 && rot.retired_files > 0);
+        assert_eq!(all.held_files, 2 * 9);
+        assert_eq!(c_rot.footprint().logged_bytes, rot.logged_bytes);
     }
 }

@@ -12,11 +12,17 @@
 //!
 //! * [`auth`] — a toy Diffie–Hellman-flavoured handshake modelling the
 //!   OpenSSH public-key session setup (NOT cryptography; a protocol-flow
-//!   model, clearly labelled);
+//!   model, clearly labelled); each side derives a peer's shared secret
+//!   once and keeps it;
 //! * [`rsyncp`] — the actual rsync algorithm: rolling weak checksum + MD5
-//!   strong checksum signatures, delta computation and application;
+//!   strong checksum signatures, delta computation and application, and
+//!   [`rsyncp::CachedSync`], a mirror kept as signature state (block
+//!   hashes, weak index, the bytes after the last full block) so a round
+//!   costs O(bytes appended) and ships exactly what the stock algorithm
+//!   ships;
 //! * [`collector`] — the 20-minute collection round: authenticate, exchange
-//!   signatures, ship deltas, mirror the fleet's logs, and retry
+//!   signatures, ship deltas, mirror the fleet's logs, retire rotated logs
+//!   to `(name, len)` on both sides once they are synced, and retry
 //!   unreachable hosts with capped exponential backoff.
 //!
 //! Switch outages and link loss reach the collector as reachability: the

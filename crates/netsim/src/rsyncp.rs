@@ -9,6 +9,7 @@
 //! in the Adler-32 style rsync uses, MD5 (from `frostlab-compress`) as the
 //! strong hash.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use frostlab_compress::md5::md5;
@@ -85,24 +86,28 @@ pub fn signature(data: &[u8], block_size: usize) -> Signature {
 
 /// One instruction in a delta.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DeltaOp {
-    /// Copy block `index` of the old file.
+pub enum DeltaOp<'a> {
+    /// Copy `blocks` consecutive blocks of the old file, starting at block
+    /// `index`.
     Copy {
-        /// Index into the signature's block list.
+        /// Index of the first block in the signature's block list.
         index: u32,
+        /// Number of blocks in the run (at least one).
+        blocks: u32,
     },
-    /// Insert literal bytes.
-    Literal(Vec<u8>),
+    /// Insert literal bytes: a run of the new file.
+    Literal(&'a [u8]),
 }
 
-/// A delta transforming the signed old file into the new file.
+/// A delta transforming the signed old file into the new file; its
+/// literal runs borrow from the new file.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Delta {
+pub struct Delta<'a> {
     /// The instructions, in output order.
-    pub ops: Vec<DeltaOp>,
+    pub ops: Vec<DeltaOp<'a>>,
 }
 
-impl Delta {
+impl Delta<'_> {
     /// Bytes of literal data carried (what actually crosses the wire,
     /// besides tiny copy tokens).
     pub fn literal_bytes(&self) -> usize {
@@ -115,73 +120,157 @@ impl Delta {
             .sum()
     }
 
-    /// Number of copy instructions.
+    /// Number of blocks copied from the old file (a run counts each of its
+    /// blocks).
     pub fn copy_count(&self) -> usize {
         self.ops
             .iter()
-            .filter(|op| matches!(op, DeltaOp::Copy { .. }))
-            .count()
+            .map(|op| match op {
+                DeltaOp::Copy { blocks, .. } => *blocks as usize,
+                DeltaOp::Literal(_) => 0,
+            })
+            .sum()
     }
 }
 
-/// Weak checksum → candidate block indices (collisions kept in a list).
-/// Only full blocks are matchable by the rolling window; the final short
-/// block (if any) is matched separately at the tail.
-fn weak_index(sig: &Signature) -> HashMap<u32, Vec<u32>> {
-    let bs = sig.block_size;
-    let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (i, (weak, _)) in sig.blocks.iter().enumerate() {
-        if (i + 1) * bs <= sig.total_len {
-            index.entry(*weak).or_default().push(i as u32);
+/// "No further block" in a [`BlockIndex`] chain.
+const END: u32 = u32::MAX;
+
+/// The matchable part of a signature: the strong hash of every *full*
+/// block (only full blocks are matchable by the rolling window; the final
+/// short block, if any, is matched separately at the tail), and a weak-sum
+/// index over them.
+///
+/// The index is a chained hash: one map entry per distinct weak sum
+/// holding the first and last block with that sum, plus one link per
+/// block. Candidates come out in ascending block order, and adding a
+/// newly completed block is O(1), so [`CachedSync`] extends it across
+/// rounds instead of rebuilding it.
+#[derive(Debug, Clone)]
+struct BlockIndex {
+    block_size: usize,
+    strong: Vec<[u8; 16]>,
+    /// Weak sum → `(first, last)` block with that sum.
+    chains: HashMap<u32, (u32, u32)>,
+    /// `next[i]`: the next block after `i` with the same weak sum, or `END`.
+    next: Vec<u32>,
+}
+
+impl BlockIndex {
+    fn new(block_size: usize) -> BlockIndex {
+        BlockIndex {
+            block_size,
+            strong: Vec::new(),
+            chains: HashMap::new(),
+            next: Vec::new(),
         }
     }
-    index
+
+    /// The full blocks of `sig`.
+    fn of_signature(sig: &Signature) -> BlockIndex {
+        let mut index = BlockIndex::new(sig.block_size);
+        let full = sig.total_len / sig.block_size;
+        for &(weak, strong) in sig.blocks.iter().take(full) {
+            index.push_signed(weak, strong);
+        }
+        index
+    }
+
+    /// Number of indexed blocks.
+    fn len(&self) -> usize {
+        self.strong.len()
+    }
+
+    /// Index one more full block of content.
+    fn push(&mut self, block: &[u8]) {
+        debug_assert_eq!(block.len(), self.block_size);
+        self.push_signed(Rolling::new(block).digest(), md5(block));
+    }
+
+    fn push_signed(&mut self, weak: u32, strong: [u8; 16]) {
+        let i = self.strong.len() as u32;
+        self.strong.push(strong);
+        self.next.push(END);
+        match self.chains.entry(weak) {
+            Entry::Occupied(mut chain) => {
+                let (_, last) = chain.get_mut();
+                self.next[*last as usize] = i;
+                *last = i;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((i, i));
+            }
+        }
+    }
+
+    /// The first block whose weak sum is `weak` and whose strong hash is
+    /// the window's. The window's MD5 is computed only on a weak hit.
+    fn find(&self, weak: u32, window: &[u8]) -> Option<u32> {
+        let &(mut i, _) = self.chains.get(&weak)?;
+        let strong = md5(window);
+        while i != END {
+            if self.strong[i as usize] == strong {
+                return Some(i);
+            }
+            i = self.next[i as usize];
+        }
+        None
+    }
 }
 
 /// Compute the delta producing `new_data` given the receiver's `sig`.
-pub fn delta(sig: &Signature, new_data: &[u8]) -> Delta {
-    let index = weak_index(sig);
+pub fn delta<'a>(sig: &Signature, new_data: &'a [u8]) -> Delta<'a> {
+    let index = BlockIndex::of_signature(sig);
+    let bs = sig.block_size;
+    let short_len = sig.total_len % bs;
+    let last = sig.blocks.len().wrapping_sub(1);
     let mut ops = Vec::new();
-    scan(sig, &index, new_data, 0, &mut ops);
+    scan(
+        &index,
+        new_data,
+        0,
+        |tail| {
+            let matches = |&(_, strong): &(u32, [u8; 16])| strong == md5(tail);
+            (short_len != 0 && short_len == tail.len() && sig.blocks.last().is_some_and(matches))
+                .then_some(last as u32)
+        },
+        &mut ops,
+    );
     Delta { ops }
 }
 
 /// The sender's sliding-window scan from `pos` to the end of `new_data`,
-/// appending ops. Factored out so [`CachedSync`]'s verified-prefix fast
-/// path can resume the scan mid-file with identical semantics — at every
-/// block boundary the scan state is (empty literal, no window), so
-/// resuming at a boundary is indistinguishable from having scanned the
-/// prefix.
-fn scan(
-    sig: &Signature,
-    index: &HashMap<u32, Vec<u32>>,
-    new_data: &[u8],
+/// appending ops. `short_block(tail)` names the old file's short final
+/// block when the unmatched tail equals it. Shared by [`delta`] and
+/// [`CachedSync`]: at every block boundary the scan state is (empty
+/// literal, no window), so resuming at a boundary is indistinguishable
+/// from having scanned the prefix.
+fn scan<'a>(
+    index: &BlockIndex,
+    new_data: &'a [u8],
     mut pos: usize,
-    ops: &mut Vec<DeltaOp>,
+    short_block: impl FnOnce(&[u8]) -> Option<u32>,
+    ops: &mut Vec<DeltaOp<'a>>,
 ) {
-    let bs = sig.block_size;
-    let mut literal = Vec::new();
+    let bs = index.block_size;
+    // The pending literal run is `new_data[literal..pos]`.
+    let mut literal = pos;
     let mut roll: Option<Rolling> = None;
+    let copy = |ops: &mut Vec<DeltaOp<'a>>, literal: usize, pos: usize, index: u32| {
+        if literal < pos {
+            ops.push(DeltaOp::Literal(&new_data[literal..pos]));
+        }
+        ops.push(DeltaOp::Copy { index, blocks: 1 });
+    };
 
     while pos + bs <= new_data.len() {
         let r = roll.get_or_insert_with(|| Rolling::new(&new_data[pos..pos + bs]));
-        let digest = r.digest();
-        let matched = index.get(&digest).and_then(|candidates| {
-            let strong = md5(&new_data[pos..pos + bs]);
-            candidates
-                .iter()
-                .find(|&&i| sig.blocks[i as usize].1 == strong)
-                .copied()
-        });
-        if let Some(block_idx) = matched {
-            if !literal.is_empty() {
-                ops.push(DeltaOp::Literal(std::mem::take(&mut literal)));
-            }
-            ops.push(DeltaOp::Copy { index: block_idx });
+        if let Some(block_idx) = index.find(r.digest(), &new_data[pos..pos + bs]) {
+            copy(ops, literal, pos, block_idx);
             pos += bs;
+            literal = pos;
             roll = None;
         } else {
-            literal.push(new_data[pos]);
             let out = new_data[pos];
             pos += 1;
             if pos + bs <= new_data.len() {
@@ -194,24 +283,13 @@ fn scan(
     // Tail: try to match the final short block, else literal.
     let tail = &new_data[pos..];
     if !tail.is_empty() {
-        let last_idx = sig.blocks.len().wrapping_sub(1);
-        let tail_matches = !sig.total_len.is_multiple_of(bs)
-            && !sig.blocks.is_empty()
-            && sig.total_len % bs == tail.len()
-            && sig.blocks[last_idx].1 == md5(tail);
-        if tail_matches {
-            if !literal.is_empty() {
-                ops.push(DeltaOp::Literal(std::mem::take(&mut literal)));
-            }
-            ops.push(DeltaOp::Copy {
-                index: last_idx as u32,
-            });
-        } else {
-            literal.extend_from_slice(tail);
+        if let Some(block_idx) = short_block(tail) {
+            copy(ops, literal, pos, block_idx);
+            literal = new_data.len();
         }
     }
-    if !literal.is_empty() {
-        ops.push(DeltaOp::Literal(literal));
+    if literal < new_data.len() {
+        ops.push(DeltaOp::Literal(&new_data[literal..]));
     }
 }
 
@@ -235,12 +313,16 @@ pub fn apply(old_data: &[u8], block_size: usize, d: &Delta) -> Result<Vec<u8>, A
     let mut out = Vec::new();
     for op in &d.ops {
         match op {
-            DeltaOp::Copy { index } => {
+            DeltaOp::Copy { index, blocks } => {
+                // Every block of the run must exist; only the last may be
+                // short.
                 let start = *index as usize * block_size;
-                if start >= old_data.len() {
-                    return Err(ApplyError::BadBlockIndex);
-                }
-                let end = (start + block_size).min(old_data.len());
+                let last_start = (*blocks as usize)
+                    .checked_sub(1)
+                    .map(|more| start + more * block_size)
+                    .filter(|&last| last < old_data.len())
+                    .ok_or(ApplyError::BadBlockIndex)?;
+                let end = (last_start + block_size).min(old_data.len());
                 out.extend_from_slice(&old_data[start..end]);
             }
             DeltaOp::Literal(bytes) => out.extend_from_slice(bytes),
@@ -251,7 +333,7 @@ pub fn apply(old_data: &[u8], block_size: usize, d: &Delta) -> Result<Vec<u8>, A
 
 /// Convenience: one-shot sync. Returns `(new_copy, delta)` so callers can
 /// account transferred bytes.
-pub fn sync(old_data: &[u8], new_data: &[u8], block_size: usize) -> (Vec<u8>, Delta) {
+pub fn sync<'a>(old_data: &[u8], new_data: &'a [u8], block_size: usize) -> (Vec<u8>, Delta<'a>) {
     let sig = signature(old_data, block_size);
     let d = delta(&sig, new_data);
     // A delta built against this very signature can only reference blocks
@@ -262,27 +344,40 @@ pub fn sync(old_data: &[u8], new_data: &[u8], block_size: usize) -> (Vec<u8>, De
     (rebuilt, d)
 }
 
-/// A receiver-side mirror with its signature kept warm between rounds.
+/// A receiver-side mirror of an append-only file, kept as signature state
+/// rather than bytes.
 ///
-/// [`sync`] recomputes the old file's signature — a strong hash per block
-/// — on every call, then scans the entire new file. For the collector's
-/// append-only logs that is O(file) work per round to discover that one
-/// line was added. `CachedSync` holds the mirror *and* its signature:
-/// each round re-signs only the bytes past the last full block, and when
-/// the new content verifiably extends the mirror (a byte-compare of the
-/// prefix — far cheaper than hashing it) the sender's scan resumes at the
-/// first unsynced block boundary instead of at zero.
+/// [`sync`] signs the whole old file and scans the whole new file on every
+/// call: O(file) work per round to find that one line was added.
+/// `CachedSync` keeps what the next round needs and nothing else: the
+/// strong hash and weak-index entry of every full block, and the bytes
+/// after the last full block (fewer than one block). A round costs
+/// O(bytes appended since the last round):
 ///
-/// The produced delta is equivalent to [`sync`]'s: the verified prefix
-/// matches block-for-block (each full block's own signature is present,
-/// so the stock scan would emit one copy per block and arrive at the
+/// * the synced full blocks are emitted as one copy run, without being
+///   read — the sender's file only ever grows by appends, so they are
+///   still its prefix (a `debug_assert` checks the retained tail);
+/// * the sender's scan resumes at the last block boundary, against the
+///   weak index as it stands;
+/// * blocks completed by the new bytes are signed and indexed once; the
+///   short block's strong hash is computed only when the tail-match
+///   length test passes.
+///
+/// The delta is equivalent to [`sync`]'s against the synced content: the
+/// prefix matches block for block (each full block's own signature is
+/// present, so the stock scan emits one copy per block and reaches the
 /// boundary with an empty literal run), and the remainder goes through
-/// the identical `scan`. Literal bytes, copy counts and the rebuilt
-/// mirror are byte-for-byte what the uncached path yields.
+/// the identical `scan`. Literal bytes and copy counts are exactly what
+/// the stock path yields.
+///
+/// A shorter file is a truncation, not an append: the mirror scans it
+/// from the start, as [`sync`] does, and re-signs it. A file that is not
+/// shorter must extend the synced content.
 #[derive(Debug)]
 pub struct CachedSync {
-    data: Vec<u8>,
-    sig: Signature,
+    blocks: BlockIndex,
+    /// Synced bytes after the last full block.
+    tail: Vec<u8>,
 }
 
 impl CachedSync {
@@ -293,53 +388,95 @@ impl CachedSync {
     pub fn new(block_size: usize) -> CachedSync {
         assert!(block_size > 0, "block size must be positive");
         CachedSync {
-            data: Vec::new(),
-            sig: Signature {
-                block_size,
-                blocks: Vec::new(),
-                total_len: 0,
-            },
+            blocks: BlockIndex::new(block_size),
+            tail: Vec::new(),
         }
     }
 
-    /// The mirrored bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.data
+    /// Length of the synced content.
+    pub fn synced_len(&self) -> usize {
+        self.blocks.len() * self.blocks.block_size + self.tail.len()
+    }
+
+    /// Content bytes the mirror holds: the part after the last full block.
+    pub fn held_bytes(&self) -> usize {
+        self.tail.len()
     }
 
     /// Bring the mirror up to `new_data`, returning the delta that rsync
     /// would have shipped.
-    pub fn sync_from(&mut self, new_data: &[u8]) -> Delta {
-        let bs = self.sig.block_size;
-        let old_len = self.data.len();
-        let full = old_len / bs;
-        if full > 0 && new_data.len() > old_len && new_data[..old_len] == self.data[..] {
-            // Append fast path: the mirror is a verified prefix of the new
-            // content. Full blocks match themselves; resume the scan at
-            // the first unsynced boundary.
-            let boundary = full * bs;
-            let mut ops: Vec<DeltaOp> = (0..full as u32)
-                .map(|i| DeltaOp::Copy { index: i })
-                .collect();
-            let index = weak_index(&self.sig);
-            scan(&self.sig, &index, new_data, boundary, &mut ops);
-            self.data.extend_from_slice(&new_data[old_len..]);
-            self.sig.blocks.truncate(full);
-            self.sig.blocks.extend(
-                self.data[boundary..]
-                    .chunks(bs)
-                    .map(|c| (Rolling::new(c).digest(), md5(c))),
-            );
-            self.sig.total_len = self.data.len();
-            return Delta { ops };
+    pub fn sync_from<'a>(&mut self, new_data: &'a [u8]) -> Delta<'a> {
+        let bs = self.blocks.block_size;
+        let synced = self.synced_len();
+        let appended = new_data.len() >= synced;
+        // Blocks the new content keeps as they are.
+        let kept = if appended { self.blocks.len() } else { 0 };
+        let boundary = kept * bs;
+        debug_assert!(
+            !appended || new_data[boundary..boundary + self.tail.len()] == self.tail[..],
+            "new content does not extend the synced content"
+        );
+        let mut ops = Vec::new();
+        if kept > 0 {
+            ops.push(DeltaOp::Copy {
+                index: 0,
+                blocks: kept as u32,
+            });
         }
-        // General path (first contact, truncation, rewrite): stock delta
-        // against the cached signature, then full rebuild and re-sign.
-        let d = delta(&self.sig, new_data);
-        self.data = apply(&self.data, bs, &d).unwrap_or_else(|_| new_data.to_vec());
-        debug_assert_eq!(self.data, new_data);
-        self.sig = signature(&self.data, bs);
-        d
+        let (tail, short) = (&self.tail, self.blocks.len() as u32);
+        scan(
+            &self.blocks,
+            new_data,
+            boundary,
+            |rest| {
+                (!tail.is_empty() && tail.len() == rest.len() && md5(tail) == md5(rest))
+                    .then_some(short)
+            },
+            &mut ops,
+        );
+        // Take in the new bytes (only those: the retained tail already
+        // holds the rest), then sign every block they complete.
+        if appended {
+            self.tail.extend_from_slice(&new_data[synced..]);
+        } else {
+            self.blocks = BlockIndex::new(bs);
+            self.tail.clear();
+            self.tail.extend_from_slice(new_data);
+        }
+        let full = self.tail.len() / bs * bs;
+        for block in self.tail[..full].chunks_exact(bs) {
+            self.blocks.push(block);
+        }
+        self.tail.drain(..full);
+        Delta { ops }
+    }
+
+    /// The signature [`signature`] computes over the synced content.
+    #[cfg(test)]
+    pub(crate) fn signature(&self) -> Signature {
+        let bs = self.blocks.block_size;
+        let mut sig = Signature {
+            block_size: bs,
+            blocks: Vec::new(),
+            total_len: self.synced_len(),
+        };
+        let mut weak = vec![0u32; self.blocks.len()];
+        for (&w, &(first, _)) in &self.blocks.chains {
+            let mut i = first;
+            while i != END {
+                weak[i as usize] = w;
+                i = self.blocks.next[i as usize];
+            }
+        }
+        sig.blocks = weak
+            .into_iter()
+            .zip(self.blocks.strong.iter().copied())
+            .collect();
+        if !self.tail.is_empty() {
+            sig.blocks
+                .push((Rolling::new(&self.tail).digest(), md5(&self.tail)));
+        }
+        sig
     }
 }
 
@@ -447,13 +584,50 @@ mod tests {
         );
     }
 
+    /// Sync `cached` to `file` and check it against the stock oracle:
+    /// equal literal bytes and copy counts, a delta that rebuilds `file`
+    /// from the test-side copy `plain`, and signature state equal to a
+    /// fresh signature of `file`. Returns the cached delta.
+    fn check_against_oracle<'a>(
+        cached: &mut CachedSync,
+        plain: &mut Vec<u8>,
+        file: &'a [u8],
+        bs: usize,
+        what: &str,
+    ) -> Delta<'a> {
+        let (rebuilt, d_plain) = sync(plain, file, bs);
+        let d_cached = cached.sync_from(file);
+        assert_eq!(
+            d_cached.literal_bytes(),
+            d_plain.literal_bytes(),
+            "{what}: literal bytes diverge"
+        );
+        assert_eq!(
+            d_cached.copy_count(),
+            d_plain.copy_count(),
+            "{what}: copy counts diverge"
+        );
+        assert_eq!(
+            apply(plain, bs, &d_cached).as_deref(),
+            Ok(file),
+            "{what}: cached delta does not rebuild the file"
+        );
+        assert_eq!(cached.synced_len(), file.len(), "{what}: synced length");
+        assert_eq!(
+            cached.signature(),
+            signature(file, bs),
+            "{what}: signature state diverges"
+        );
+        *plain = rebuilt;
+        d_cached
+    }
+
     #[test]
     fn cached_sync_matches_stock_sync_across_append_histories() {
         // Drive the cached mirror and the stock per-round sync through the
-        // same file history; deltas and mirrors must agree byte-for-byte.
-        // Growth sizes cross block boundaries, land exactly on them, and
-        // include a same-size round (which the collector normally skips,
-        // but equivalence must hold regardless).
+        // same file history. Growth sizes cross block boundaries, land
+        // exactly on them, and include a same-size round (which the
+        // collector normally skips, but equivalence must hold regardless).
         let bs = 64;
         let mut cached = CachedSync::new(bs);
         let mut plain: Vec<u8> = Vec::new();
@@ -462,68 +636,73 @@ mod tests {
         for (round, g) in growths.iter().enumerate() {
             let line: Vec<u8> = (0..*g).map(|i| ((round * 37 + i) % 251) as u8).collect();
             file.extend_from_slice(&line);
-            let (rebuilt, d_plain) = sync(&plain, &file, bs);
-            let d_cached = cached.sync_from(&file);
-            assert_eq!(
-                d_cached.literal_bytes(),
-                d_plain.literal_bytes(),
-                "round {round}: literal bytes diverge"
+            check_against_oracle(
+                &mut cached,
+                &mut plain,
+                &file,
+                bs,
+                &format!("round {round}"),
             );
-            assert_eq!(
-                d_cached.copy_count(),
-                d_plain.copy_count(),
-                "round {round}: copy counts diverge"
-            );
-            assert_eq!(cached.data(), &file[..], "round {round}: mirror diverges");
-            plain = rebuilt;
         }
     }
 
     #[test]
-    fn cached_sync_handles_rewrites_and_truncation() {
+    fn cached_sync_handles_truncation() {
         let bs = 64;
         let mut cached = CachedSync::new(bs);
+        let mut plain = Vec::new();
         let first = b"the first day's log content\n".repeat(20);
-        cached.sync_from(&first);
-        assert_eq!(cached.data(), &first[..]);
-        // A rewrite (different content, shorter) takes the general path.
+        check_against_oracle(&mut cached, &mut plain, &first, bs, "first");
+        // A shorter file is scanned from the start and re-signed.
         let rewritten = b"fresh start\n".repeat(5);
-        let (_, d_plain) = sync(&first, &rewritten, bs);
-        let d_cached = cached.sync_from(&rewritten);
-        assert_eq!(d_cached.literal_bytes(), d_plain.literal_bytes());
-        assert_eq!(cached.data(), &rewritten[..]);
-        // And appends after the rewrite use the fast path again.
+        check_against_oracle(&mut cached, &mut plain, &rewritten, bs, "truncated");
+        // And appends after the truncation resume at the block boundary.
         let mut grown = rewritten.clone();
         grown.extend_from_slice(b"appended line\n");
-        let (_, d_plain) = sync(&rewritten, &grown, bs);
-        let d_cached = cached.sync_from(&grown);
-        assert_eq!(d_cached.literal_bytes(), d_plain.literal_bytes());
-        assert_eq!(cached.data(), &grown[..]);
+        check_against_oracle(&mut cached, &mut plain, &grown, bs, "grown");
     }
 
     #[test]
     fn cached_sync_append_ships_only_the_tail() {
         let bs = 512;
         let mut cached = CachedSync::new(bs);
+        let mut plain = Vec::new();
         let old = b"line-one\nline-two\nline-three\n".repeat(60);
-        cached.sync_from(&old);
+        check_against_oracle(&mut cached, &mut plain, &old, bs, "first");
         let mut new = old.clone();
         new.extend_from_slice(b"2010-03-07 04:40 host15 wrong-hash\n");
-        let d = cached.sync_from(&new);
+        let d = check_against_oracle(&mut cached, &mut plain, &new, bs, "append");
         assert!(
             d.literal_bytes() < 2 * bs,
             "append should ship ≲ 2 blocks, got {}",
             d.literal_bytes()
         );
-        assert_eq!(cached.data(), &new[..]);
+        // The verified prefix is one copy run, not one op per block.
+        assert_eq!(
+            d.ops[0],
+            DeltaOp::Copy {
+                index: 0,
+                blocks: (old.len() / bs) as u32
+            }
+        );
+        // The mirror holds only the bytes past the last full block.
+        assert_eq!(cached.held_bytes(), new.len() % bs);
     }
 
     #[test]
     fn bad_delta_rejected() {
-        let d = Delta {
-            ops: vec![DeltaOp::Copy { index: 99 }],
+        let copy = |index, blocks| Delta {
+            ops: vec![DeltaOp::Copy { index, blocks }],
         };
-        assert_eq!(apply(b"short", 64, &d), Err(ApplyError::BadBlockIndex));
+        assert_eq!(
+            apply(b"short", 64, &copy(99, 1)),
+            Err(ApplyError::BadBlockIndex)
+        );
+        // A run must name at least one block, and every block must exist.
+        let old = [7u8; 130];
+        assert_eq!(apply(&old, 64, &copy(0, 0)), Err(ApplyError::BadBlockIndex));
+        assert_eq!(apply(&old, 64, &copy(1, 3)), Err(ApplyError::BadBlockIndex));
+        assert_eq!(apply(&old, 64, &copy(1, 2)), Ok(old[64..].to_vec()));
     }
 
     #[test]

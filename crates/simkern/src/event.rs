@@ -7,9 +7,11 @@
 //! equal keys, so each entry carries a monotonically increasing sequence
 //! number.
 //!
-//! The queue is generic over the event payload; the orchestrator in
-//! `frostlab-core` defines a single `enum` of everything that can happen in
-//! the experiment and drives a `while let Some((t, ev)) = q.pop()` loop.
+//! The queue is generic over the event payload: a caller defines an `enum`
+//! of what can happen and drives a `while let Some((t, ev)) = q.pop()`
+//! loop. Campaigns do not: `frostlab-core` runs them on its fixed-step
+//! phase pipeline, so no campaign, bin or service path uses the queue
+//! today.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -1,14 +1,14 @@
 //! # frostlab-simkern
 //!
-//! Deterministic discrete-event simulation kernel for the frostlab workspace.
+//! Deterministic simulation kernel for the frostlab workspace.
 //!
-//! The kernel is deliberately small and synchronous, in the spirit of
-//! event-driven network stacks such as smoltcp: there is no async runtime, no
-//! background threads, and no hidden allocation on the hot path. A simulation
-//! is a loop that pops timestamped events from an [`EventQueue`] and lets the
-//! caller dispatch them against its own world state. This sidesteps the
-//! callback-vs-borrow-checker fight entirely and keeps execution order
-//! trivially auditable.
+//! The kernel is deliberately small and synchronous: there is no async
+//! runtime, no background threads, and no hidden allocation on the hot
+//! path. Campaigns do not run on an event loop: `frostlab-core` steps a
+//! fixed pipeline of phases once per simulated tick, and each phase keeps
+//! its own next-due times. What the kernel supplies is the time base and
+//! the randomness every phase shares, plus a deterministic event queue
+//! for code that does want to pop timestamped events in order.
 //!
 //! Three pillars:
 //!

@@ -205,11 +205,6 @@ impl SimDuration {
     pub fn as_days_f64(self) -> f64 {
         self.0 as f64 / 86_400.0
     }
-
-    /// True if the duration is negative.
-    pub const fn is_negative(self) -> bool {
-        self.0 < 0
-    }
 }
 
 impl Add<SimDuration> for SimTime {

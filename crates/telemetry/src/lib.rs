@@ -12,7 +12,7 @@
 //! reproducing the instruments:
 //!
 //! * [`series`] — a small time-series container (monotonic timestamps,
-//!   stats, resampling, gap detection);
+//!   stats, windows, gap detection);
 //! * [`lascar`] — the Lascar EL-USB-2-LCD logger: ±0.5 °C / ±3 %RH typical
 //!   error, 0.5-unit quantization, finite sample memory, and the
 //!   carried-indoors readout excursions;

@@ -7,7 +7,7 @@
 
 use frostlab_simkern::time::{SimDuration, SimTime};
 
-/// Errors from series construction and resampling.
+/// Errors from series construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesError {
     /// A sample's timestamp was not strictly after the previous one.
@@ -17,8 +17,6 @@ pub enum SeriesError {
         /// The series' current last timestamp.
         last: SimTime,
     },
-    /// A resampling bucket of zero width.
-    ZeroBucket,
 }
 
 impl std::fmt::Display for SeriesError {
@@ -27,7 +25,6 @@ impl std::fmt::Display for SeriesError {
             SeriesError::NonMonotonic { t, last } => {
                 write!(f, "non-monotonic sample at {t:?} after {last:?}")
             }
-            SeriesError::ZeroBucket => write!(f, "bucket must be positive"),
         }
     }
 }
@@ -148,32 +145,6 @@ impl TimeSeries {
             .collect()
     }
 
-    /// Downsample by averaging into fixed buckets of width `bucket`,
-    /// timestamped at the bucket start. Empty buckets are skipped.
-    /// Rejects a zero-width bucket.
-    pub fn try_resample_mean(&self, bucket: SimDuration) -> Result<TimeSeries, SeriesError> {
-        if bucket.as_secs() <= 0 {
-            return Err(SeriesError::ZeroBucket);
-        }
-        let mut out = TimeSeries::new();
-        let mut i = 0;
-        while i < self.points.len() {
-            let bucket_start = SimTime::from_secs(
-                self.points[i].0.as_secs().div_euclid(bucket.as_secs()) * bucket.as_secs(),
-            );
-            let bucket_end = bucket_start + bucket;
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            while i < self.points.len() && self.points[i].0 < bucket_end {
-                sum += self.points[i].1;
-                n += 1;
-                i += 1;
-            }
-            out.push(bucket_start, sum / n as f64);
-        }
-        Ok(out)
-    }
-
     /// Build from an iterator of points, rejecting out-of-order timestamps.
     pub fn try_from_points(
         points: impl IntoIterator<Item = (SimTime, f64)>,
@@ -278,17 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn try_resample_mean_rejects_zero_bucket() {
-        let s = sample();
-        assert_eq!(
-            s.try_resample_mean(SimDuration::ZERO).unwrap_err(),
-            SeriesError::ZeroBucket
-        );
-        let ok = s.try_resample_mean(SimDuration::minutes(30)).unwrap();
-        assert_eq!(ok.len(), 4);
-    }
-
-    #[test]
     fn window_slicing() {
         let s = sample();
         let w = s.window(t(600), t(1800));
@@ -305,17 +265,6 @@ mod tests {
         s.push(t(7800), 1.0);
         let gaps = s.gaps(SimDuration::minutes(30));
         assert_eq!(gaps, vec![(t(600), t(7200))]);
-    }
-
-    #[test]
-    fn try_resample_mean_averages_buckets() {
-        let s = sample(); // samples every 10 min, values 0..9
-        let r = s.try_resample_mean(SimDuration::minutes(30)).unwrap();
-        // Buckets: [0,1,2], [3,4,5], [6,7,8], [9].
-        assert_eq!(r.len(), 4);
-        let vals: Vec<f64> = r.values().collect();
-        assert_eq!(vals, vec![1.0, 4.0, 7.0, 9.0]);
-        assert_eq!(r.points()[1].0, t(1800));
     }
 
     #[test]

@@ -89,6 +89,43 @@ proptest! {
     }
 
     #[test]
+    fn cached_sync_matches_stock_sync_on_any_append_history(
+        appends in proptest::collection::vec((0u8..4, 0usize..1200), 1..24),
+        block in 16usize..600,
+        alphabet in 1u8..5,
+        salt in any::<u8>(),
+    ) {
+        // Each append is sub-block, block-aligned (it brings the file to a
+        // block boundary), zero-length, or of any length; the first round
+        // is first contact. A small alphabet makes blocks repeat, so the
+        // scan also matches old blocks past the resume point.
+        let mut cached = rsyncp::CachedSync::new(block);
+        let mut mirror: Vec<u8> = Vec::new();
+        let mut file: Vec<u8> = Vec::new();
+        for (round, &(kind, n)) in appends.iter().enumerate() {
+            let grow = match kind {
+                0 => n % block,
+                1 => block - file.len() % block + (n / block % 3) * block,
+                2 => 0,
+                _ => n,
+            };
+            let at = file.len();
+            file.extend((0..grow).map(|i| {
+                b'a' + ((at + i) as u8).wrapping_mul(salt | 1).wrapping_add(round as u8) % alphabet
+            }));
+            let (rebuilt, stock) = rsyncp::sync(&mirror, &file, block);
+            let cached_delta = cached.sync_from(&file);
+            prop_assert_eq!(cached_delta.literal_bytes(), stock.literal_bytes());
+            prop_assert_eq!(cached_delta.copy_count(), stock.copy_count());
+            prop_assert_eq!(cached.synced_len(), file.len());
+            let from_cached = rsyncp::apply(&mirror, block, &cached_delta).expect("valid delta");
+            prop_assert_eq!(&from_cached, &file);
+            prop_assert_eq!(&rsyncp::apply(&mirror, block, &stock).expect("valid delta"), &file);
+            mirror = rebuilt;
+        }
+    }
+
+    #[test]
     fn tar_roundtrips(files in proptest::collection::vec(
         (proptest::string::string_regex("[a-z]{1,12}(/[a-z]{1,12}){0,3}").expect("valid regex"),
          proptest::collection::vec(any::<u8>(), 0..2048)),
